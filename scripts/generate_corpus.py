@@ -71,15 +71,19 @@ def make_g0_2() -> PuiseuxSeries:
     return series
 
 
-def main() -> None:
-    os.makedirs(DATA_DIR, exist_ok=True)
-    outputs = {
+def corpus_entries() -> dict[str, tuple[PuiseuxSeries, str]]:
+    """Every bundled series with its label, by file stem."""
+    return {
         "j": (make_j(), "J"),
         "g0_2": (make_g0_2(), "J_Gamma0_2"),
         "g0_13": (prefix_series("g0_13"), "J_Gamma0_13"),
         "g0_25": (prefix_series("g0_25"), "J_Gamma0_25"),
     }
-    for stem, (series, label) in outputs.items():
+
+
+def main() -> None:
+    os.makedirs(DATA_DIR, exist_ok=True)
+    for stem, (series, label) in corpus_entries().items():
         path = os.path.join(DATA_DIR, f"{stem}.qexp")
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(emit_qexp(series, label))

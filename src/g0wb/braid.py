@@ -89,11 +89,8 @@ class BraidWord:
         return BraidWord(tuple((g, -e) for g, e in reversed(self.letters)))
 
     def __pow__(self, n: int) -> BraidWord:
-        base = self if n >= 0 else self.inverse()
-        out = BraidWord.identity()
-        for _ in range(abs(n)):
-            out = out * base
-        return out
+        return _square_and_multiply(self if n >= 0 else self.inverse(), abs(n),
+                                    BraidWord.identity(), BraidWord.__mul__)
 
     def __str__(self) -> str:
         if not self.letters:
@@ -175,10 +172,21 @@ def extended_inverse(x: ExtendedElement) -> ExtendedElement:
 
 
 def extended_pow(x: ExtendedElement, n: int) -> ExtendedElement:
-    base = x if n >= 0 else extended_inverse(x)
-    out = EXTENDED_IDENTITY
-    for _ in range(abs(n)):
-        out = extended_mul(out, base)
+    """x^n in O(log |n|) products; valid because the extended law is
+    associative."""
+    return _square_and_multiply(x if n >= 0 else extended_inverse(x), abs(n),
+                                EXTENDED_IDENTITY, extended_mul)
+
+
+def _square_and_multiply(base, n: int, identity, mul):
+    """base^n for n >= 0 under an associative product."""
+    out = identity
+    while n:
+        if n & 1:
+            out = mul(out, base)
+        n >>= 1
+        if n:
+            base = mul(base, base)
     return out
 
 

@@ -312,7 +312,10 @@ def _cmd_quilt(args) -> int:
     parts = args.start.split(",")
     if len(parts) != 2:
         raise ParseError("--start must be g,h with element labels")
-    pair = (table.index(parts[0].strip()), table.index(parts[1].strip()))
+    try:
+        pair = (table.index(parts[0].strip()), table.index(parts[1].strip()))
+    except KeyError as exc:
+        raise ValueError(exc.args[0]) from exc
     orbit = braidmod.quilt_orbit(pair, table)
     pretty = sorted(f"({table.labels[g]},{table.labels[h]})" for g, h in orbit)
     _emit("orbit of (%s,%s): size %d\n%s" % (parts[0].strip(), parts[1].strip(),

@@ -410,17 +410,6 @@ def galois_apply(m: int, a: CyclotomicNumber) -> CyclotomicNumber:
     return a.galois(m)
 
 
-def cyc_arith(a: CyclotomicNumber, b: CyclotomicNumber, op: str) -> CyclotomicNumber:
-    """add / mul / div with automatic promotion into the lcm conductor."""
-    if op == "add":
-        return a + b
-    if op == "mul":
-        return a * b
-    if op == "div":
-        return a / b
-    raise ValueError(f"unknown cyclotomic operation {op!r}")
-
-
 def _half_ext_gcd(a, modulus):
     """gcd(a, modulus) together with s such that s*a = gcd (mod modulus).
 

@@ -9,6 +9,7 @@ verdict is "candidate to the tested depth".
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
@@ -32,9 +33,6 @@ from .modeq import (
     verify_modular_equation,
 )
 from .qseries import PuiseuxSeries, substitute_coset
-
-_KNOWN = 10**9
-
 
 @dataclass(frozen=True)
 class Classification:
@@ -141,12 +139,19 @@ def bootstrap_extend(h_prefix: PuiseuxSeries, poly: ModularPolynomial, m: int,
                      target: int) -> PuiseuxSeries:
     """Extend a series prefix to q^target using its order-m polynomial.
 
-    Writes G = F(h(tau), h(m*tau)) and solves G = 0 exponent by exponent:
-    with coefficients a_1..a_(n-1) fixed, a_n enters G linearly through
-    q^n * dF/dx + q^(mn) * dF/dy, and the lowest exponent where that linear
-    form is nonzero pins a_n.  Every already-determined coefficient of G
-    below that exponent must vanish, else no extension exists.  The result
-    is re-verified against the polynomial in full before being returned.
+    Writes G = F(h(tau), h(m*tau)) and solves G = 0 a block of coefficients
+    at a time.  With a_1..a_(n-1) fixed and the block's unknowns a_n..a_N
+    set to zero, G, dF/dx and dF/dy are evaluated once per block; a_k
+    enters G linearly through L_k = q^k * dF/dx + q^(mk) * dF/dy, and the
+    lowest exponent where L_k is nonzero (its pivot) pins a_k by forward
+    substitution.  The block ends before the first k whose pivot does not
+    increase, lies beyond the determined range, or reaches the lowest
+    exponent that a product of two unknowns can touch, so the linear
+    solve is exact; a block of one coefficient is the order-by-order
+    solve.  Every determined coefficient of G below a block's first pivot
+    must vanish, else no extension exists; this also re-checks everything
+    the previous block solved.  The result is re-verified against the
+    polynomial in full before being returned.
     """
     if not h_prefix.is_moonshine_shape():
         raise ShapeError("bootstrap needs a q^-1 + O(q) seed")
@@ -156,39 +161,18 @@ def bootstrap_extend(h_prefix: PuiseuxSeries, poly: ModularPolynomial, m: int,
         return h_prefix.truncate(target)
     d_dx = poly.derivative("x")
     d_dy = poly.derivative("y")
+    monomials = [key for key, c in poly.coeffs.items() if not c.is_zero()]
     known: dict[int, CyclotomicNumber] = dict(h_prefix.coeffs)
-    start = h_prefix.trunc + 1
-    checked_below: Fraction | None = None
-    for n in range(start, target + 1):
-        h0 = PuiseuxSeries.make(known, trunc=n, conductor=h_prefix.conductor)
+    n = h_prefix.trunc + 1
+    while n <= target:
+        floor = _lowest_reach(monomials, m, n, 2)
+        top = n
+        while top < target and _lowest_reach(monomials, m, top + 1, 1) < floor:
+            top += 1
+        h0 = PuiseuxSeries.make(known, trunc=top, conductor=h_prefix.conductor)
         y0 = substitute_coset(h0, m, 1, 0)
-        linear = (_shift(d_dx.evaluate(h0, y0), n)
-                  + _shift(d_dy.evaluate(h0, y0), m * n))
-        pivot = linear.min_nonzero_exponent()
-        if pivot is None:
-            raise BootstrapStalled(
-                f"linear coefficient of a_{n} vanishes on the determined range")
-        value = poly.evaluate(h0, y0)
-        if value.trunc_exponent() < pivot:
-            raise InsufficientSeed(
-                f"seed determines the relation only through q^{value.trunc_exponent()}, "
-                f"need q^{pivot} to solve for a_{n}")
-        for e_num, c in sorted(value.coeffs.items()):
-            e = Fraction(e_num, value.denom)
-            if e >= pivot:
-                break
-            if checked_below is not None and e < checked_below:
-                continue
-            if not c.is_zero():
-                raise Inconsistent(
-                    f"relation already fails at q^{e} (coefficient {c}) "
-                    f"before a_{n} can act")
-        checked_below = pivot
-        c1 = linear.coefficient(pivot)
-        c0 = value.coefficient(pivot)
-        a_n = -(c0 / c1)
-        if not a_n.is_zero():
-            known[n] = a_n
+        n = _solve_block(known, n, top, floor, m, poly.evaluate(h0, y0),
+                         d_dx.evaluate(h0, y0), d_dy.evaluate(h0, y0))
     result = PuiseuxSeries.make(known, trunc=target, conductor=h_prefix.conductor)
     report = verify_modular_equation(result, poly, m)
     if report.status != "consistent":
@@ -198,8 +182,54 @@ def bootstrap_extend(h_prefix: PuiseuxSeries, poly: ModularPolynomial, m: int,
     return result
 
 
-def _shift(series: PuiseuxSeries, by: int) -> PuiseuxSeries:
-    return series * PuiseuxSeries.monomial(by, _KNOWN)
+def _lowest_reach(monomials: list[tuple[int, int]], m: int, k: int, degree: int):
+    """Lowest exponent reachable by the terms of F(h, h(m*tau)) of the given
+    degree in unknowns sitting at q^k and above, from pole orders alone:
+    h ~ q^-1 and h(m*tau) ~ q^-m, and an unknown in place of a factor h
+    (of h(m*tau)) raises the exponent by k + 1 (by m(k + 1)).  Degree 1
+    bounds the pivot of L_k; degree 2 is the block's nonlinear floor."""
+    return min((-i - m * j + a * (k + 1) + (degree - a) * m * (k + 1)
+                for i, j in monomials for a in range(degree + 1)
+                if a <= i and degree - a <= j), default=math.inf)
+
+
+def _solve_block(known: dict[int, CyclotomicNumber], n: int, top: int, floor,
+                 m: int, value: PuiseuxSeries, f_x: PuiseuxSeries,
+                 f_y: PuiseuxSeries) -> int:
+    """Solve a_n, a_(n+1), ... (at most through a_top) into ``known`` from
+    G = ``value`` and the partial derivatives at the block's zero point;
+    returns the index of the next unknown."""
+    solved: list[tuple[CyclotomicNumber, PuiseuxSeries]] = []
+    last = determined = None
+    for k in range(n, top + 1):
+        linear = f_x.shift(k) + f_y.shift(m * k)
+        pivot = linear.min_nonzero_exponent()
+        if k == n:
+            if pivot is None:
+                raise BootstrapStalled(
+                    f"linear coefficient of a_{n} vanishes on the determined range")
+            if value.trunc_exponent() < pivot:
+                raise InsufficientSeed(
+                    f"seed determines the relation only through q^{value.trunc_exponent()}, "
+                    f"need q^{pivot} to solve for a_{n}")
+            first = value.min_nonzero_exponent()
+            if first is not None and first < pivot:
+                raise Inconsistent(
+                    f"relation already fails at q^{first} (coefficient "
+                    f"{value.coefficient(first)}) before a_{n} can act")
+            determined = min(value.trunc_exponent(), linear.trunc_exponent())
+        elif pivot is None or pivot <= last or pivot > determined or pivot >= floor:
+            break
+        # the forms of later unknowns vanish below their own, higher pivots
+        total = value.coefficient(pivot)
+        for a, form in solved:
+            total = total + a * form.coefficient(pivot)
+        a_k = -(total / linear.coefficient(pivot))
+        solved.append((a_k, linear))
+        if not a_k.is_zero():
+            known[k] = a_k
+        last = pivot
+    return n + len(solved)
 
 
 def check_replication(a: PuiseuxSeries, b: PuiseuxSeries, k: int) -> bool:

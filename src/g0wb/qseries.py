@@ -261,15 +261,17 @@ class PuiseuxSeries:
         kept = {n: c for n, c in self.coeffs.items() if n <= bound}
         return PuiseuxSeries(self.conductor, self.denom, min(self.lo, bound), bound, kept)
 
-    def assume_zero_through(self, exponent) -> PuiseuxSeries:
-        """Extend the determined range, asserting the new coefficients are
-        zero.  This introduces an assumption; it is meant for solvers that
-        probe counterfactual extensions, not for general use."""
-        e = Fraction(exponent)
-        bound = math.floor(e * self.denom)
-        if bound <= self.trunc:
-            return self
-        return PuiseuxSeries(self.conductor, self.denom, self.lo, bound, self.coeffs)
+    def shift(self, by) -> PuiseuxSeries:
+        """The series times q^by, by renumbering: lo, trunc and every
+        exponent move by ``by`` (an int or Fraction), on the series' grid
+        refined to contain ``by``.  Equal to multiplication by the exactly
+        known monomial q^by, without multiplying anything."""
+        by = Fraction(by)
+        d = math.lcm(self.denom, by.denominator)
+        coeffs, lo, trunc = self._scaled(d)
+        s = by.numerator * (d // by.denominator)
+        return PuiseuxSeries(self.conductor, d, lo + s, trunc + s,
+                             {n + s: c for n, c in coeffs.items()})
 
     def map_coefficients(self, fn) -> PuiseuxSeries:
         """Apply an exact map to every coefficient (e.g. a Galois twist)."""

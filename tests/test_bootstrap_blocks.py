@@ -1,0 +1,157 @@
+"""Differential tests of the block bootstrap against the order-by-order
+solve it replaced, kept here as an oracle: one evaluation of F, F_x and F_y
+per coefficient, each coefficient pinned by the lowest exponent of its own
+linear form."""
+
+from fractions import Fraction
+
+import pytest
+
+from g0wb.corpus import eta_quotient_level2
+from g0wb.errors import (
+    BootstrapStalled,
+    Inconsistent,
+    InsufficientSeed,
+    ShapeError,
+)
+from g0wb.exactnum import CyclotomicNumber
+from g0wb.goldens import GOLDEN_ORDER2
+from g0wb.hauptmodul import bootstrap_extend
+from g0wb.modeq import ModularPolynomial, build_modular_polynomial, psi, verify_modular_equation
+from g0wb.qseries import PuiseuxSeries, emit_qexp, substitute_coset
+
+
+def per_coefficient_bootstrap(h_prefix, poly, m, target):
+    if not h_prefix.is_moonshine_shape():
+        raise ShapeError("bootstrap needs a q^-1 + O(q) seed")
+    if poly.degx != psi(m) or poly.degy != psi(m):
+        raise ValueError(f"polynomial degrees != psi({m})")
+    if target <= h_prefix.trunc:
+        return h_prefix.truncate(target)
+    d_dx = poly.derivative("x")
+    d_dy = poly.derivative("y")
+    known = dict(h_prefix.coeffs)
+    checked_below = None
+    for n in range(h_prefix.trunc + 1, target + 1):
+        h0 = PuiseuxSeries.make(known, trunc=n, conductor=h_prefix.conductor)
+        y0 = substitute_coset(h0, m, 1, 0)
+        linear = d_dx.evaluate(h0, y0).shift(n) + d_dy.evaluate(h0, y0).shift(m * n)
+        pivot = linear.min_nonzero_exponent()
+        if pivot is None:
+            raise BootstrapStalled(f"linear coefficient of a_{n} vanishes")
+        value = poly.evaluate(h0, y0)
+        if value.trunc_exponent() < pivot:
+            raise InsufficientSeed(f"need q^{pivot} to solve for a_{n}")
+        for e_num, c in sorted(value.coeffs.items()):
+            e = Fraction(e_num, value.denom)
+            if e >= pivot:
+                break
+            if checked_below is not None and e < checked_below:
+                continue
+            if not c.is_zero():
+                raise Inconsistent(f"relation fails at q^{e} before a_{n} can act")
+        checked_below = pivot
+        a_n = -(value.coefficient(pivot) / linear.coefficient(pivot))
+        if not a_n.is_zero():
+            known[n] = a_n
+    result = PuiseuxSeries.make(known, trunc=target, conductor=h_prefix.conductor)
+    if verify_modular_equation(result, poly, m).status != "consistent":
+        raise Inconsistent("extended series fails re-verification")
+    return result
+
+
+def outcome(solver, seed, poly, m, target):
+    """The emitted series, or the class of the exception raised."""
+    try:
+        return emit_qexp(solver(seed, poly, m, target), "x")
+    except (BootstrapStalled, Inconsistent, InsufficientSeed) as exc:
+        return type(exc)
+
+
+def assert_same_outcome(seed, poly, m, target):
+    expected = outcome(per_coefficient_bootstrap, seed, poly, m, target)
+    assert outcome(bootstrap_extend, seed, poly, m, target) == expected
+    return expected
+
+
+def perturbed(series, depth, exponent, delta=1):
+    seed = series.truncate(depth)
+    coeffs = dict(seed.coeffs)
+    coeffs[exponent] = seed.coefficient(exponent) + delta
+    return PuiseuxSeries.make(coeffs, trunc=depth)
+
+
+_R = CyclotomicNumber.from_rational
+# F = -y^3 + 3xy - 2x^2 at order 2: the linear form of a_2 cancels at its
+# pole-order exponent, so its pivot lies one step above what a seed
+# through q^1 determines.
+SHALLOW_POLY = ModularPolynomial(2, 1, {(0, 3): _R(-1), (1, 1): _R(3), (2, 0): _R(-2)}, 3, 3)
+
+
+@pytest.fixture(scope="module")
+def poly3():
+    return build_modular_polynomial(eta_quotient_level2(40), 3)
+
+
+@pytest.fixture(scope="module")
+def monomial_poly2():
+    return build_modular_polynomial(PuiseuxSeries.monomial(-1, trunc=64), 2)
+
+
+@pytest.mark.parametrize("depth,target", [(0, 25), (3, 60), (10, 41), (21, 60), (44, 51)])
+def test_j_output_matches_per_coefficient_solve(corpus_j, depth, target):
+    expected = assert_same_outcome(corpus_j.truncate(depth), GOLDEN_ORDER2, 2, target)
+    assert expected == emit_qexp(corpus_j.truncate(target), "x")
+
+
+@pytest.mark.parametrize("depth,target", [(0, 17), (5, 40), (12, 33), (27, 40)])
+def test_g0_2_output_matches_per_coefficient_solve(corpus_g0_2, poly3, depth, target):
+    expected = assert_same_outcome(corpus_g0_2.truncate(depth), poly3, 3, target)
+    assert expected == emit_qexp(corpus_g0_2.truncate(target), "x")
+
+
+@pytest.mark.parametrize("depth,exponent,target", [
+    (3, 1, 20), (3, 3, 30), (20, 18, 45), (20, 20, 60), (8, 2, 40)])
+def test_perturbed_j_seed_fails_alike(corpus_j, depth, exponent, target):
+    seed = perturbed(corpus_j, depth, exponent)
+    assert assert_same_outcome(seed, GOLDEN_ORDER2, 2, target) is Inconsistent
+
+
+@pytest.mark.parametrize("depth,exponent,target", [(5, 4, 30), (12, 10, 30)])
+def test_perturbed_g0_2_seed_fails_alike(corpus_g0_2, poly3, depth, exponent, target):
+    seed = perturbed(corpus_g0_2, depth, exponent, delta=-7)
+    assert assert_same_outcome(seed, poly3, 3, target) is Inconsistent
+
+
+def test_seed_too_shallow_for_first_pivot_fails_alike():
+    seed = PuiseuxSeries.moonshine([3], trunc=1)
+    assert assert_same_outcome(seed, SHALLOW_POLY, 2, 2) is InsufficientSeed
+
+
+def test_block_sees_past_the_per_coefficient_refusal():
+    # asked for more than one coefficient, the block determines G beyond
+    # a_2's pivot and finds the relation failing already at q^-6 (the
+    # leading term of -y^3), where the order-by-order solve gives up
+    seed = PuiseuxSeries.moonshine([3], trunc=1)
+    assert outcome(per_coefficient_bootstrap, seed, SHALLOW_POLY, 2, 10) is InsufficientSeed
+    with pytest.raises(Inconsistent, match=r"q\^-6"):
+        bootstrap_extend(seed, SHALLOW_POLY, 2, 10)
+
+
+@pytest.mark.parametrize("depth", [0, 1, 3])
+def test_monomial_fiction_behaves_alike(monomial_poly2, corpus_j, depth):
+    bare = PuiseuxSeries.monomial(-1, trunc=depth)
+    assert assert_same_outcome(bare, monomial_poly2, 2, 12) == \
+        emit_qexp(PuiseuxSeries.monomial(-1, trunc=12), "x")
+    # crossed: the fiction's seed against j's polynomial and back; from a
+    # bare pole both sides solve, below a deeper seed both reject it
+    crossed = (assert_same_outcome(bare, GOLDEN_ORDER2, 2, 12),
+               assert_same_outcome(corpus_j.truncate(depth), monomial_poly2, 2, 12))
+    if depth:
+        assert crossed == (Inconsistent, Inconsistent)
+
+
+def test_monomial_fiction_at_order_three_fails_alike():
+    mono3 = build_modular_polynomial(PuiseuxSeries.monomial(-1, trunc=64), 3)
+    bare = PuiseuxSeries.monomial(-1, trunc=2)
+    assert assert_same_outcome(bare, mono3, 3, 10) is Inconsistent

@@ -23,6 +23,7 @@ from g0wb.braid import (
     eta_multiplier_phase,
     extended_inverse,
     extended_mul,
+    extended_pow,
     lift_braid,
     parse_group_table,
     quilt_orbit,
@@ -193,6 +194,39 @@ class TestLift:
         for _ in range(300):
             w = random_word(rng)
             assert lift_braid(w).matrix == burau(w)
+
+
+class TestPowers:
+    def test_extended_pow_matches_repeated_product(self):
+        rng = random.Random(5)
+        for _ in range(40):
+            x = lift_braid(random_word(rng, max_len=5))
+            for n in (1, -1):
+                step = x if n > 0 else extended_inverse(x)
+                out = EXTENDED_IDENTITY
+                for k in range(18):
+                    assert extended_pow(x, n * k) == out
+                    out = extended_mul(out, step)
+
+    def test_word_pow_matches_repeated_concatenation(self):
+        rng = random.Random(6)
+        for _ in range(40):
+            w = random_word(rng, max_len=5)
+            for n in range(-9, 10):
+                base = w if n >= 0 else w.inverse()
+                out = BraidWord.identity()
+                for _ in range(abs(n)):
+                    out = out * base
+                assert w ** n == out
+
+    def test_huge_generator_power_takes_log_time(self):
+        n = 10**9
+        for gen, matrix in ((1, IntMatrix(1, n, 0, 1)), (2, IntMatrix(1, 0, -n, 1))):
+            word = BraidWord.from_letters([(gen, n)])
+            lifted = lift_braid(word)
+            assert lifted.matrix == burau(word) == matrix
+            assert lifted.n % 4 == sigma_class(matrix)
+            assert lift_braid(word.inverse()) == extended_inverse(lifted)
 
 
 class TestEtaMultiplier:

@@ -1,6 +1,8 @@
+import time
+
 import pytest
 
-from g0wb.braid import emit_group_table, symmetric_group_3
+from g0wb.braid import BraidWord, burau, emit_group_table, sigma_class, symmetric_group_3
 from g0wb.cli import main
 from g0wb.corpus import load_entry
 from g0wb.goldens import GOLDEN_ORDER2
@@ -207,6 +209,24 @@ class TestSmallCommands:
                            "--start", "(12),(123)")
         assert code == 0
         assert machine_block(out)["orbit_size"] == "9"
+
+    def test_quilt_unknown_label_is_usage_error(self, capsys):
+        code, out, err = run(capsys, "quilt", "--group", "s3", "--start", "(12),(99)")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("usage error:") and err.count("\n") == 1
+        assert "(99)" in err
+
+    def test_braid_lift_huge_exponent_is_fast(self, capsys):
+        start = time.perf_counter()
+        code, out, _ = run(capsys, "braid", "lift", "--word", "s2^1000000000")
+        elapsed = time.perf_counter() - start
+        assert code == 0
+        block = machine_block(out)
+        projection = burau(BraidWord.parse("s2^1000000000"))
+        assert block["matrix"] == f"{projection.a},{projection.b},{projection.c},{projection.d}"
+        assert int(block["n"]) % 4 == sigma_class(projection)
+        assert elapsed < 0.5
 
     def test_kappa_selection(self, capsys):
         code, out, _ = run(capsys, "kappa", "--terms", "80")

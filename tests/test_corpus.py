@@ -1,3 +1,7 @@
+import importlib.util
+import pathlib
+from importlib import resources
+
 import pytest
 
 from g0wb.corpus import (
@@ -165,3 +169,17 @@ class TestOracleConstructions:
         assert series.coefficient(0) == 0
         assert [int(series.coefficient(n).rational_value()) for n in range(1, 6)] == \
             [276, -2048, 11202, -49152, 184024]
+
+
+def test_generator_script_reproduces_every_bundled_file():
+    # the script is the oracle path for the bundled files, and make_j and
+    # make_g0_2 bootstrap them from the published prefixes
+    path = pathlib.Path(__file__).resolve().parents[1] / "scripts" / "generate_corpus.py"
+    spec = importlib.util.spec_from_file_location("generate_corpus", path)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    entries = script.corpus_entries()
+    assert sorted(entries) == ["g0_13", "g0_2", "g0_25", "j"]
+    for stem, (series, label) in entries.items():
+        bundled = resources.files("g0wb") / "data" / f"{stem}.qexp"
+        assert emit_qexp(series, label) == bundled.read_text(encoding="utf-8"), stem

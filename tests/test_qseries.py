@@ -55,6 +55,32 @@ class TestArithmetic:
         assert (a - a).is_zero()
 
 
+class TestShift:
+    @given(st.dictionaries(st.integers(-6, 12), st.integers(-9, 9), max_size=6),
+           st.sampled_from([1, 2, 3, 4]), st.integers(-6, 14),
+           st.integers(-12, 12), st.sampled_from([1, 2, 3, 6]))
+    def test_equals_product_with_exact_monomial(self, coeffs, denom, trunc, num, den):
+        series = PuiseuxSeries.make({n: c for n, c in coeffs.items() if n <= trunc},
+                                    trunc=trunc, denom=denom)
+        by = Fraction(num, den)
+        # a monomial determined far beyond any exponent in play
+        exact = PuiseuxSeries.monomial(num, trunc=10**6, denom=den)
+        assert series.shift(by) == series * exact
+
+    def test_integral_shift_keeps_grid_and_field(self):
+        z = CyclotomicNumber.root_of_unity(3, 1)
+        series = PuiseuxSeries.make({-3: 1, 1: z}, trunc=5, denom=2, conductor=3)
+        moved = series.shift(2)
+        assert (moved.denom, moved.lo, moved.trunc, moved.conductor) == (2, 1, 9, 3)
+        assert moved.coefficient(Fraction(5, 2)) == z
+
+    def test_fractional_shift_refines_grid(self):
+        moved = PuiseuxSeries.make({-1: 1, 2: 7}, trunc=4).shift(Fraction(1, 3))
+        assert moved.denom == 3
+        assert moved.trunc_exponent() == Fraction(13, 3)
+        assert moved.coefficient(Fraction(7, 3)) == 7
+
+
 class TestSubstitution:
     def test_sign_flip_on_half_grid(self):
         h = PuiseuxSeries.monomial(-1, trunc=8)
