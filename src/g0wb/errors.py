@@ -32,10 +32,10 @@ class InsufficientTruncation(G0wbError):
 
 
 class NotInvariant(G0wbError):
-    """A coset-symmetric combination failed to collapse to integral exponents
-    or to coefficients in the declared field; the input does not satisfy the
-    modular equation being constructed.  ``exponent``/``coefficient`` locate
-    the surviving term when known."""
+    """A coset-symmetric combination has a coefficient outside the declared
+    field, or the built polynomial has the wrong degree; the input does not
+    satisfy the modular equation being constructed.  ``exponent`` and
+    ``coefficient`` locate the offending term when known."""
 
     def __init__(self, message: str, exponent=None, coefficient=None):
         super().__init__(message)

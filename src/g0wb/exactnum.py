@@ -26,22 +26,38 @@ _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 
+MAX_CONDUCTOR = 1000
+
+
+def prime_divisors(n: int) -> list[int]:
+    """The distinct primes dividing n, ascending, by trial division."""
+    primes, p = [], 2
+    while p * p <= n:
+        if n % p == 0:
+            primes.append(p)
+            while n % p == 0:
+                n //= p
+        p += 1 if p == 2 else 2
+    if n > 1:
+        primes.append(n)
+    return primes
+
+
 def euler_phi(n: int) -> int:
     """Euler's totient, by trial-division factorization."""
     if n < 1:
         raise ValueError("euler_phi needs n >= 1")
     result = n
-    m = n
-    p = 2
-    while p * p <= m:
-        if m % p == 0:
-            result -= result // p
-            while m % p == 0:
-                m //= p
-        p += 1 if p == 2 else 2
-    if m > 1:
-        result -= result // m
+    for p in prime_divisors(n):
+        result -= result // p
     return result
+
+
+def check_conductor(conductor: int, line: int) -> None:
+    """Reject a header conductor outside 1..MAX_CONDUCTOR: conductor N
+    costs an N x phi(N) reduction table (see _power_table)."""
+    if not 1 <= conductor <= MAX_CONDUCTOR:
+        raise ParseError(f"conductor {conductor} outside 1..{MAX_CONDUCTOR}", line=line)
 
 
 def _int_poly_divmod(num: tuple[int, ...], den: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:

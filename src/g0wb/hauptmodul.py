@@ -268,16 +268,14 @@ def congruence_membership(mat: IntMatrix, level: int, flavor: str) -> bool:
     mat.require_unimodular()
     a, b, c, d = mat.entries()
     if flavor == "full":
-        plus = (a - 1) % level == 0 and (d - 1) % level == 0
-        minus = (a + 1) % level == 0 and (d + 1) % level == 0
-        offdiag = b % level == 0 and c % level == 0
-        return offdiag and (plus or minus)
+        return b % level == 0 and c % level == 0 and _diagonal_is_sign(a, d, level)
     if flavor == "gamma0":
         return c % level == 0
     if flavor == "gamma1":
-        if c % level != 0:
-            return False
-        plus = (a - 1) % level == 0 and (d - 1) % level == 0
-        minus = (a + 1) % level == 0 and (d + 1) % level == 0
-        return plus or minus
+        return c % level == 0 and _diagonal_is_sign(a, d, level)
     raise ValueError(f"unknown flavor {flavor!r} (full, gamma0, gamma1)")
+
+
+def _diagonal_is_sign(a: int, d: int, level: int) -> bool:
+    """a = d = +1 or a = d = -1 mod level."""
+    return any((a - s) % level == 0 and (d - s) % level == 0 for s in (1, -1))

@@ -1,10 +1,14 @@
 """Modular equations for formal q-series.
 
 Given a normalized series h = q^-1 + a_1 q + a_2 q^2 + ..., the order-m
-machinery substitutes h along the primitive coset set A_m, expands the
-product of (root - Y) factors through elementary symmetric functions,
-expresses each Y-coefficient as an exact polynomial in h, and verifies the
-resulting bivariate relation coefficient-by-coefficient.
+modular equation is prod (h(m*tau/d^2 + k/d) - Y) over the primitive coset
+set A_m.  The cosets with the same d form a class whose j-th power sum is
+sum_n c_n(h^j) w_d(n) q^(n*m/d^2), w_d(n) = sum_k xi_d^(k*n) a rational
+integer, so it keeps the field of h and integral exponents.  Newton's
+identities per class, then a product over the classes, give the
+Y-coefficients (the power-sum view of Conway-Norton 1979 and of Alexander,
+Cummins, McKay and Simons 1992); build expresses each as a polynomial in h
+and verification compares them with F(h, Y).
 
 The coset set uses the primitive pairs (d, k) with d | m, 0 <= k < d and
 gcd(m/d, k, d) = 1, which is exactly what makes |A_m| = psi(m) and the
@@ -17,6 +21,8 @@ normalization is wanted.
 
 from __future__ import annotations
 
+import collections
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -30,8 +36,8 @@ from .errors import (
     ParseError,
     ShapeError,
 )
-from .exactnum import CyclotomicNumber, parse_cyclotomic
-from .qseries import PuiseuxSeries, substitute_coset
+from .exactnum import CyclotomicNumber, check_conductor, parse_cyclotomic, prime_divisors
+from .qseries import PuiseuxSeries, compare_to_order
 
 Coeff = CyclotomicNumber
 
@@ -56,16 +62,8 @@ def psi(m: int) -> int:
     if m < 1:
         raise ValueError("psi needs m >= 1")
     result = m
-    rest = m
-    p = 2
-    while p * p <= rest:
-        if rest % p == 0:
-            result = result // p * (p + 1)
-            while rest % p == 0:
-                rest //= p
-        p += 1 if p == 2 else 2
-    if rest > 1:
-        result = result // rest * (rest + 1)
+    for p in prime_divisors(m):
+        result = result // p * (p + 1)
     return result
 
 
@@ -101,32 +99,63 @@ def coset_set(m: int) -> CosetSet:
     return CosetSet(m, tuple(pairs))
 
 
-def _is_prime(p: int) -> bool:
-    if p < 2:
-        return False
-    i = 2
-    while i * i <= p:
-        if p % i == 0:
-            return False
-        i += 1 if i == 2 else 2
-    return True
+@functools.lru_cache(maxsize=None)
+def _class_weights(m: int, d: int) -> tuple[int, ...]:
+    """w_d(r) = sum_{k in K_d} xi_d^(k*r) for r = 0..d-1, K_d the offsets
+    paired with d in coset_set(m): exact rational integers.  Units mod d
+    permute K_d, so w_d(r) depends only on gcd(r, d)."""
+    ks = [k for e, k in coset_set(m).pairs if e == d]
+    by_gcd = {g: int(sum((CyclotomicNumber.root_of_unity(d, k * g) for k in ks),
+                         CyclotomicNumber.zero()).rational_value())
+              for g in range(1, d + 1) if d % g == 0}
+    return tuple(by_gcd[math.gcd(r, d)] for r in range(d))
+
+
+def _class_power_sum(s: PuiseuxSeries, m: int, d: int) -> PuiseuxSeries:
+    """sum_{k in K_d} s(m*tau/d^2 + k/d): q^n goes to w_d(n) q^(n*m/d^2)."""
+    weights = _class_weights(m, d)
+    g = math.gcd(d * d, m)
+    stretch = m // g
+    out = {n * stretch: c * weights[n % d] for n, c in s.coeffs.items() if weights[n % d]}
+    return PuiseuxSeries(s.conductor, d * d // g, s.lo * stretch, s.trunc * stretch, out)
+
+
+def _coset_elementary(h: PuiseuxSeries, m: int) -> list[PuiseuxSeries]:
+    """e_0..e_psi(m) of the order-m coset roots of h, in the field of h:
+    Newton's identities on each class's power sums (one run over all roots
+    would let the q^-m pole of the d = 1 root eat the other classes'
+    depth), then the product of the class polynomials."""
+    sizes = collections.Counter(d for d, _ in coset_set(m).pairs)
+    powers = _power_ladder(h, max(sizes.values()))
+    total = [_constant_series(1)]
+    for d, size in sorted(sizes.items()):
+        sums = [_class_power_sum(powers[j], m, d) for j in range(1, size + 1)]
+        es = [_constant_series(1)]
+        for k in range(1, size + 1):
+            # k e_k = sum_{i=1..k} (-1)^(i-1) e_(k-i) p_i
+            terms = [es[k - i] * sums[i - 1] for i in range(1, k + 1)]
+            signed = terms[0::2] + [-t for t in terms[1::2]]
+            es.append(sum(signed[1:], signed[0]).scale(Fraction(1, k)))
+        product = []
+        for j in range(len(total) + size):
+            terms = [total[a] * es[j - a]
+                     for a in range(max(0, j - size), min(j, len(total) - 1) + 1)]
+            product.append(sum(terms[1:], terms[0]))
+        total = product
+    return total
 
 
 def average_sum(f: PuiseuxSeries, p: int) -> PuiseuxSeries:
-    """The prime averaging f(p*tau) + sum_{k<p} f((tau+k)/p).
-
-    Root-of-unity cancellation guarantees integral exponents on the result.
+    """The prime averaging f(p*tau) + sum_{k<p} f((tau+k)/p): the d = 1 and
+    d = p class power sums of f at order p, whose weights cancel every
+    fractional exponent.  Declared over Q[xi_lcm(N, p)].
     """
-    if not _is_prime(p):
+    if prime_divisors(p) != [p]:
         raise ValueError(f"averaging order {p} is not prime")
     if f.denom != 1:
         raise NonIntegralInput("averaging needs a series with integral exponents")
-    total = substitute_coset(f, p, 1, 0)
-    for k in range(p):
-        total = total + substitute_coset(f, p, p, k)
-    if total.denom != 1:
-        raise NotInvariant("fractional exponents survived the averaging sum")
-    return total
+    total = _class_power_sum(f, p, 1) + _class_power_sum(f, p, p)
+    return total.with_conductor(math.lcm(f.conductor, p))
 
 
 @dataclass(frozen=True)
@@ -207,9 +236,7 @@ def express_in_generator(f: PuiseuxSeries, h: PuiseuxSeries) -> UnivariatePoly:
     if f.denom != 1:
         raise NonIntegralInput("cannot express a series with fractional exponents")
     degree = f.pole_order()
-    powers: list[PuiseuxSeries] = [_constant_series(1, h.conductor)]
-    for _ in range(degree):
-        powers.append(powers[-1] * h)
+    powers = _power_ladder(h, degree)
     coeffs: dict[int, Coeff] = {}
     residual = f
     while True:
@@ -334,10 +361,10 @@ def build_modular_polynomial(h: PuiseuxSeries, m: int, generalised: bool = False
                              conductor: int | None = None) -> ModularPolynomial:
     """Construct the order-m modular polynomial satisfied by h, or fail.
 
-    Expands prod_{(d,k)} (h(m*tau/d^2 + k/d) - Y) via elementary symmetric
-    functions; each Y-coefficient must collapse to integral exponents and
-    coefficients in the declared field, and must be expressible as a
-    polynomial in h (in sigma_m(h) for the Galois-twisted variant).
+    The Y-coefficients of prod_{(d,k)} (h(m*tau/d^2 + k/d) - Y) come from
+    class power sums in the field of h; each must lie in the declared field
+    and be expressible as a polynomial in h (in sigma_m(h) for the
+    Galois-twisted variant).
     """
     if not h.is_moonshine_shape():
         raise ShapeError("modular polynomial construction needs q^-1 + O(q) input")
@@ -351,19 +378,11 @@ def build_modular_polynomial(h: PuiseuxSeries, m: int, generalised: bool = False
             f"have q^{h.trunc}",
             required=need,
         )
-    cosets = coset_set(m)
-    degree = len(cosets)
-    roots = [substitute_coset(h, m, d, k) for d, k in cosets.pairs]
-    elementary = _elementary_symmetric(roots)
+    elementary = _coset_elementary(h, m)
+    degree = len(elementary) - 1
     generator = h if not generalised else h.map_coefficients(lambda c: c.galois(m))
     slices: dict[tuple[int, int], Coeff] = {}
-    for j in range(degree + 1):
-        e_j = elementary[j]
-        if e_j.denom != 1:
-            bad = e_j.min_nonzero_exponent()
-            raise NotInvariant(
-                f"coset-symmetric function e_{j} kept the fractional exponent {bad}",
-                exponent=bad, coefficient=e_j.coefficient(bad))
+    for j, e_j in enumerate(elementary):
         e_j = _project_coefficients(e_j, field, j)
         try:
             poly = express_in_generator(e_j, generator)
@@ -383,22 +402,10 @@ def build_modular_polynomial(h: PuiseuxSeries, m: int, generalised: bool = False
     return built
 
 
-def _elementary_symmetric(roots: list[PuiseuxSeries]) -> list[PuiseuxSeries]:
-    """e_0..e_n of the given series, by the one-root-at-a-time recurrence."""
-    es: list[PuiseuxSeries] = [_constant_series(1)]
-    for r in roots:
-        nxt = [es[0]]
-        for j in range(1, len(es)):
-            nxt.append(es[j] + r * es[j - 1])
-        nxt.append(r * es[-1])
-        es = nxt
-    return es
-
-
 def _project_coefficients(series: PuiseuxSeries, field: int, which: int) -> PuiseuxSeries:
     """Check every coefficient lies in Q[xi_field] and rewrite it there."""
     out: dict[int, Coeff] = {}
-    for n, c in series.coeffs.items():
+    for n, c in series.nonzero_items():
         if not c.in_subfield(field):
             raise NotInvariant(
                 f"coefficient of q^{n} in e_{which} leaves Q[xi_{field}]: {c}",
@@ -425,56 +432,32 @@ def verify_modular_equation(h: PuiseuxSeries, poly: ModularPolynomial, m: int,
                             generalised: bool = False) -> VerificationReport:
     """Check that the product over coset substitutions equals F(h(tau), Y).
 
-    Both sides are expanded as polynomials in Y with exact q-series
-    coefficients and compared to the largest order the input truncation
-    supports.  Failures are reported in-band, never raised.
+    Both sides are expanded as polynomials in Y, the product side from the
+    class power sums the build uses, and compared to the largest order the
+    input truncation supports.  Failures are reported in-band, never raised.
     """
     if poly.degx != psi(m) or poly.degy != psi(m):
         raise ValueError(
             f"polynomial degrees ({poly.degx}, {poly.degy}) != psi({m}) = {psi(m)}")
     if not h.is_moonshine_shape():
         raise ShapeError("verification needs q^-1 + O(q) input")
-    cosets = coset_set(m)
-    roots = [substitute_coset(h, m, d, k) for d, k in cosets.pairs]
-    product_side = _product_in_y(roots)
+    elementary = _coset_elementary(h, m)
     generator = h if not generalised else h.map_coefficients(lambda c: c.galois(m))
     xpangle = _power_ladder(generator, poly.degx)
     slices = poly.y_slices()
     verified_to: Fraction | None = None
     for t in range(len(slices)):
-        lhs = product_side[t]
+        lhs = -elementary[-1 - t] if t % 2 else elementary[-1 - t]
         rhs = _combine_slice(slices[t], xpangle, generator)
         bound = min(lhs.trunc_exponent(), rhs.trunc_exponent())
         verified_to = bound if verified_to is None else min(verified_to, bound)
         if bound < 0:
             return VerificationReport(m, bound, "insufficient-data")
-        denom = math.lcm(lhs.denom, rhs.denom)
-        la, _, _ = lhs._scaled(denom)
-        rb, _, _ = rhs._scaled(denom)
-        top = math.floor(bound * denom)
-        for n in sorted(set(la) | set(rb)):
-            if n > top:
-                break
-            expected = la.get(n, CyclotomicNumber.zero())
-            actual = rb.get(n, CyclotomicNumber.zero())
-            if expected != actual:
-                return VerificationReport(
-                    m, verified_to, "inconsistent",
-                    first_failure=(Fraction(n, denom), expected, actual))
+        cmp = compare_to_order(lhs, rhs, bound)
+        if not cmp.equal:
+            return VerificationReport(m, verified_to, "inconsistent",
+                                      first_failure=(cmp.exponent, cmp.left, cmp.right))
     return VerificationReport(m, verified_to, "consistent")
-
-
-def _product_in_y(roots: list[PuiseuxSeries]) -> list[PuiseuxSeries]:
-    """Coefficients in Y of prod (root - Y), ascending powers of Y."""
-    coeffs: list[PuiseuxSeries] = [_constant_series(1)]
-    for r in roots:
-        shifted = [c * r for c in coeffs]           # r * old coefficients
-        nxt = [shifted[0]]
-        for t in range(1, len(coeffs)):
-            nxt.append(shifted[t] - coeffs[t - 1])  # minus Y * old
-        nxt.append(-coeffs[-1])
-        coeffs = nxt
-    return coeffs
 
 
 def symmetry_check(poly: ModularPolynomial, generalised: bool = False) -> bool:
@@ -523,6 +506,7 @@ def parse_mpoly(text: str) -> ModularPolynomial:
             headers[key] = int(lines[i][len(key) + 1:].strip())
         except ValueError as exc:
             raise ParseError(f"bad integer in '{key}' header", line=i + 1) from exc
+    check_conductor(headers["conductor"], line=3)
     coeffs: dict[tuple[int, int], Coeff] = {}
     last: tuple[int, int] | None = None
     for idx, line in enumerate(lines[5:], start=6):

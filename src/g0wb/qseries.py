@@ -29,7 +29,7 @@ from fractions import Fraction
 from typing import Iterable, Mapping
 
 from .errors import InsufficientTruncation, NonIntegralInput, ParseError
-from .exactnum import CyclotomicNumber, parse_cyclotomic
+from .exactnum import CyclotomicNumber, check_conductor, parse_cyclotomic
 
 Coeff = CyclotomicNumber
 
@@ -511,6 +511,7 @@ def parse_qexp(text: str) -> tuple[PuiseuxSeries, str]:
         trunc = int(headers["trunc"])
     except ValueError as exc:
         raise ParseError(f"bad header value: {exc}") from exc
+    check_conductor(conductor, line=3)
     coeffs: dict[int, Coeff] = {}
     last = None
     for idx, line in enumerate(lines[6:], start=7):

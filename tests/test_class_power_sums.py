@@ -1,0 +1,342 @@
+"""Differential tests of the class-power-sum construction of modular
+equations against the coset product it replaced, kept here as an oracle:
+substitute h into every coset (promoting coefficients to the cyclotomic
+field of the substitution), expand the product one root at a time, and
+project each coefficient back to the declared field.
+
+Also: the Kronecker congruence F_p(X, Y) = (X^p - Y)(X - Y^p) mod p as an
+independent oracle for built polynomials, and the header bound on declared
+conductors."""
+
+import functools
+import math
+from fractions import Fraction
+
+import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
+
+from g0wb.cli import main
+from g0wb.corpus import eta_quotient_level2, normalized_j
+from g0wb.errors import (
+    G0wbError,
+    InsufficientTruncation,
+    NonIntegralInput,
+    NotInvariant,
+    ParseError,
+)
+from g0wb.exactnum import MAX_CONDUCTOR, CyclotomicNumber, _power_table
+from g0wb.modeq import (
+    ModularPolynomial,
+    VerificationReport,
+    _coset_elementary,
+    _project_coefficients,
+    average_sum,
+    build_modular_polynomial,
+    coset_set,
+    express_in_generator,
+    parse_mpoly,
+    psi,
+    required_truncation,
+    verify_modular_equation,
+)
+from g0wb.qseries import PuiseuxSeries, parse_qexp, substitute_coset
+
+
+# -- the coset-product oracle ---------------------------------------------------
+
+def _one():
+    return PuiseuxSeries.make({0: 1}, trunc=10**9)
+
+
+def oracle_roots(h, m):
+    return [substitute_coset(h, m, d, k) for d, k in coset_set(m).pairs]
+
+
+def oracle_elementary(h, m):
+    """e_0..e_n of the coset roots, by the one-root-at-a-time recurrence."""
+    es = [_one()]
+    for r in oracle_roots(h, m):
+        nxt = [es[0]]
+        for j in range(1, len(es)):
+            nxt.append(es[j] + r * es[j - 1])
+        nxt.append(r * es[-1])
+        es = nxt
+    return es
+
+
+def oracle_product_in_y(h, m):
+    """Coefficients in Y of prod (root - Y), ascending powers of Y."""
+    coeffs = [_one()]
+    for r in oracle_roots(h, m):
+        shifted = [c * r for c in coeffs]
+        nxt = [shifted[0]]
+        for t in range(1, len(coeffs)):
+            nxt.append(shifted[t] - coeffs[t - 1])
+        nxt.append(-coeffs[-1])
+        coeffs = nxt
+    return coeffs
+
+
+def oracle_build(h, m, generalised=False, conductor=None):
+    """build_modular_polynomial's checks and pole-killing on oracle e_j."""
+    field = conductor if conductor is not None else h.conductor
+    if generalised and math.gcd(m, field) != 1:
+        raise ValueError("twisted construction needs gcd(m, field) = 1")
+    need = required_truncation(m)
+    if h.trunc < need:
+        raise InsufficientTruncation("too shallow", required=need)
+    elementary = oracle_elementary(h, m)
+    degree = len(elementary) - 1
+    generator = h if not generalised else h.map_coefficients(lambda c: c.galois(m))
+    slices = {}
+    for j, e_j in enumerate(elementary):
+        if e_j.denom != 1:
+            raise NotInvariant(f"e_{j} kept a fractional exponent")
+        e_j = _project_coefficients(e_j, field, j)
+        poly = express_in_generator(e_j, generator)
+        sign = -1 if (degree - j) % 2 else 1
+        for i, c in enumerate(poly.coeffs):
+            if not c.is_zero():
+                slices[(i, degree - j)] = c * sign
+    if max((i for i, _ in slices), default=0) != degree:
+        raise NotInvariant("x-degree != psi(m)")
+    return ModularPolynomial(m, field, slices, degree, degree)
+
+
+def oracle_verify(h, poly, m, generalised=False):
+    """verify_modular_equation with the product side expanded root by root
+    and the comparison written out."""
+    product_side = oracle_product_in_y(h, m)
+    generator = h if not generalised else h.map_coefficients(lambda c: c.galois(m))
+    powers = [_one()]
+    for _ in range(poly.degx):
+        powers.append(powers[-1] * generator)
+    verified_to = None
+    for t, slice_map in enumerate(poly.y_slices()):
+        lhs = product_side[t]
+        rhs = PuiseuxSeries.make({}, trunc=10**9)
+        for i, c in sorted(slice_map.items()):
+            rhs = rhs + powers[i].scale(c)
+        bound = min(lhs.trunc_exponent(), rhs.trunc_exponent())
+        verified_to = bound if verified_to is None else min(verified_to, bound)
+        if bound < 0:
+            return VerificationReport(m, bound, "insufficient-data")
+        denom = math.lcm(lhs.denom, rhs.denom)
+        la, _, _ = lhs._scaled(denom)
+        rb, _, _ = rhs._scaled(denom)
+        top = math.floor(bound * denom)
+        for n in sorted(set(la) | set(rb)):
+            if n > top:
+                break
+            expected = la.get(n, CyclotomicNumber.zero())
+            actual = rb.get(n, CyclotomicNumber.zero())
+            if expected != actual:
+                return VerificationReport(
+                    m, verified_to, "inconsistent",
+                    first_failure=(Fraction(n, denom), expected, actual))
+    return VerificationReport(m, verified_to, "consistent")
+
+
+def oracle_average(f, p):
+    total = substitute_coset(f, p, 1, 0)
+    for k in range(p):
+        total = total + substitute_coset(f, p, p, k)
+    return total
+
+
+# -- strategies -----------------------------------------------------------------
+
+def _coefficient(conductor):
+    small = st.integers(-3, 3)
+    if conductor == 1:
+        return small
+    return st.lists(small, min_size=conductor, max_size=conductor).map(
+        lambda vec: sum((CyclotomicNumber.root_of_unity(conductor, p) * c
+                         for p, c in enumerate(vec) if c), CyclotomicNumber.zero()))
+
+
+@st.composite
+def moonshine_series(draw, max_trunc=40):
+    conductor = draw(st.sampled_from([1, 3, 4, 5, 12]))
+    trunc = draw(st.integers(1, max_trunc))
+    tail = draw(st.dictionaries(st.integers(1, trunc), _coefficient(conductor), max_size=4))
+    return PuiseuxSeries.make({-1: 1, **tail}, trunc=trunc, conductor=conductor)
+
+
+def _outcome(fn, *args, **kwargs):
+    try:
+        return fn(*args, **kwargs)
+    except (G0wbError, ValueError) as exc:
+        return type(exc)
+
+
+@functools.lru_cache(maxsize=None)
+def _monomial_poly(m):
+    return build_modular_polynomial(PuiseuxSeries.monomial(-1, trunc=10**4), m)
+
+
+# -- differential tests ---------------------------------------------------------
+
+def _assert_agrees(new, old):
+    """Same coefficients on the common determined range; the new series is
+    determined at least as far as the oracle's."""
+    assert new.trunc_exponent() >= old.trunc_exponent()
+    bound = old.trunc_exponent()
+    keys = {Fraction(n, new.denom) for n in new.coeffs}
+    keys |= {Fraction(n, old.denom) for n in old.coeffs}
+    for e in keys:
+        if e <= bound:
+            assert new.coefficient(e) == old.coefficient(e), e
+
+
+class TestAgainstCosetProduct:
+    @pytest.mark.parametrize("m", range(2, 8))
+    def test_j_elementary_identical(self, m):
+        h = normalized_j(required_truncation(m))
+        for new, old in zip(_coset_elementary(h, m), oracle_elementary(h, m), strict=True):
+            assert (new.denom, new.lo, new.trunc) == (old.denom, old.lo, old.trunc)
+            assert new == old
+
+    @pytest.mark.parametrize("m", range(2, 6))
+    def test_bundled_elementary_identical(self, m, corpus_j, corpus_g0_2,
+                                          corpus_g0_13, corpus_g0_25):
+        for h in (corpus_j, corpus_g0_2, corpus_g0_13, corpus_g0_25):
+            for new, old in zip(_coset_elementary(h, m), oracle_elementary(h, m),
+                                strict=True):
+                assert (new.denom, new.lo, new.trunc) == (old.denom, old.lo, old.trunc)
+                assert new == old
+
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(moonshine_series(), st.integers(2, 9))
+    def test_random_series(self, h, m):
+        new_es = _coset_elementary(h, m)
+        old_es = oracle_elementary(h, m)
+        assert len(new_es) == len(old_es) == psi(m) + 1
+        for new, old in zip(new_es, old_es):
+            assert new.denom == 1
+            _assert_agrees(new, old)
+        poly = _monomial_poly(m)
+        assert verify_modular_equation(h, poly, m) == oracle_verify(h, poly, m)
+        built = _outcome(build_modular_polynomial, h, m)
+        expected = _outcome(oracle_build, h, m)
+        if isinstance(built, ModularPolynomial):
+            assert built == expected and built.conductor == expected.conductor
+            assert verify_modular_equation(h, built, m) == oracle_verify(h, built, m)
+        else:
+            assert built is expected
+
+    @settings(max_examples=30, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(moonshine_series(), st.sampled_from([2, 3, 5, 7]))
+    def test_random_average(self, f, p):
+        new = average_sum(f, p)
+        old = oracle_average(f, p)
+        assert new.conductor == old.conductor
+        assert (new.denom, new.lo, new.trunc) == (old.denom, old.lo, old.trunc)
+        assert new == old
+
+    def test_generalised_fiction(self):
+        xi = CyclotomicNumber.root_of_unity(3)
+        h = PuiseuxSeries.make({-1: 1, 1: xi}, trunc=64, conductor=3)
+        for m in (2, 4, 5):
+            new = build_modular_polynomial(h, m, generalised=True, conductor=3)
+            assert new == oracle_build(h, m, generalised=True, conductor=3)
+            assert (verify_modular_equation(h, new, m, generalised=True)
+                    == oracle_verify(h, new, m, generalised=True))
+
+    def test_failure_report_is_written_in_the_field_of_h(self):
+        # q^-1 + xi_3 q against its twisted polynomial, checked untwisted:
+        # the coset product used to carry this coefficient over Q(xi_6),
+        # where the same number reads "z"
+        xi = CyclotomicNumber.root_of_unity(3)
+        h = PuiseuxSeries.make({-1: 1, 1: xi}, trunc=30, conductor=3)
+        poly = build_modular_polynomial(h, 2, generalised=True, conductor=3)
+        report = verify_modular_equation(h, poly, 2)
+        exponent, expected, actual = report.first_failure
+        assert (exponent, expected.literal(), actual.literal()) == (-1, "1+z", "-2-5z")
+        assert report == oracle_verify(h, poly, 2)
+
+    def test_field_override_reports_the_lowest_escaping_coefficient(self):
+        xi = CyclotomicNumber.root_of_unity(4)
+        h = PuiseuxSeries.make({-1: 1, 1: xi * 2, 3: xi - 1}, trunc=48, conductor=4)
+        with pytest.raises(NotInvariant) as err:
+            build_modular_polynomial(h, 3, generalised=True, conductor=1)
+        # e_1 = h(3 tau) + 3 (xi - 1) q + ...: q^1 is the first term outside Q
+        assert err.value.exponent == 1
+        assert err.value.coefficient == (xi - 1) * 3
+
+
+class TestIntegrality:
+    """Class power sums have integral exponents, so every e_j has denom 1;
+    this is why the build needs no fractional-exponent check."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(moonshine_series(max_trunc=20), st.integers(2, 12))
+    def test_every_elementary_function_has_integral_exponents(self, h, m):
+        assert all(e.denom == 1 for e in _coset_elementary(h, m))
+
+    def test_average_rejects_fractional_input(self):
+        f = PuiseuxSeries.make({-1: 1, 1: 1}, trunc=10, denom=2)
+        with pytest.raises(NonIntegralInput):
+            average_sum(f, 2)
+
+
+# -- Kronecker congruence ---------------------------------------------------------
+
+def _kronecker_reduced(p):
+    """(X^p - Y)(X - Y^p) = X^(p+1) - X^p Y^p - X Y + Y^(p+1)."""
+    return {(p + 1, 0): 1, (p, p): -1, (1, 1): -1, (0, p + 1): 1}
+
+
+@pytest.mark.parametrize("series, p", [
+    (normalized_j, 2), (normalized_j, 3), (normalized_j, 5), (normalized_j, 7),
+    (eta_quotient_level2, 3), (eta_quotient_level2, 5), (eta_quotient_level2, 7),
+])
+def test_kronecker_congruence(series, p):
+    poly = build_modular_polynomial(series(required_truncation(p)), p)
+    expected = _kronecker_reduced(p)
+    for key in set(poly.coeffs) | set(expected):
+        c = poly.coefficient(*key).rational_value()
+        assert c.denominator == 1
+        assert (c.numerator - expected.get(key, 0)) % p == 0, key
+
+
+# -- conductor header bound ------------------------------------------------------
+
+def _qexp(conductor, coefficient="z"):
+    return ("# qexp v1\nlabel: F\nconductor: %d\ndenom: 1\nlo: -1\ntrunc: 4\n"
+            "-1 1\n1 %s\n" % (conductor, coefficient))
+
+
+def _mpoly(conductor):
+    return "# mpoly v1\norder: 2\nconductor: %d\ndegx: 3\ndegy: 3\n0 3 z\n" % conductor
+
+
+class TestConductorBound:
+    @pytest.mark.parametrize("conductor", [10**9, MAX_CONDUCTOR + 1, 0, -5])
+    def test_qexp_header_rejected(self, conductor):
+        tables = _power_table.cache_info().misses
+        with pytest.raises(ParseError) as err:
+            parse_qexp(_qexp(conductor))
+        assert err.value.line == 3
+        assert _power_table.cache_info().misses == tables
+
+    @pytest.mark.parametrize("conductor", [10**9, MAX_CONDUCTOR + 1, 0])
+    def test_mpoly_header_rejected(self, conductor):
+        tables = _power_table.cache_info().misses
+        with pytest.raises(ParseError) as err:
+            parse_mpoly(_mpoly(conductor))
+        assert err.value.line == 3
+        assert _power_table.cache_info().misses == tables
+
+    def test_small_conductors_still_parse(self):
+        assert parse_qexp(_qexp(24))[0].conductor == 24
+        assert parse_mpoly(_mpoly(24)).conductor == 24
+
+    def test_cli_exit_code(self, tmp_path, capsys):
+        path = tmp_path / "huge.qexp"
+        path.write_text(_qexp(10**9))
+        assert main(["classify", "--series", str(path), "--orders", "2"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.count("\n") == 1
