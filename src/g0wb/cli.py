@@ -10,6 +10,7 @@ file or data problems.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 from fractions import Fraction
@@ -259,7 +260,8 @@ def _cmd_eisenstein(args) -> int:
     if args.matrix is None:
         raise ParseError("--law needs --matrix a,b,c,d")
     mat = parse_matrix(args.matrix)
-    f = eisenstein_evaluator(args.k, args.radius)
+    # the law and its tolerance read the same two lattice sums
+    f = functools.cache(eisenstein_evaluator(args.k, args.radius))
     residual = check_weight_law(f, mat, args.k, 1.0, tau)
     t = tau.as_complex()
     image = UpperHalfPoint.of(mat.moebius(t))

@@ -158,13 +158,14 @@ def eisenstein_eval(k: int, tau: UpperHalfPoint, radius: int) -> EvalResult:
     t = _require_tame(tau)
     total = 0j
     for shell in range(1, radius + 1):
-        points = []
-        for m in range(-shell, shell + 1):
-            for n in range(-shell, shell + 1):
-                if max(abs(m), abs(n)) == shell:
-                    points.append((m, n))
-        for m, n in sorted(points):
-            total += (m * t + n) ** (-k)
+        # the shell boundary in lexicographic (m, n) order: the full row at
+        # |m| = shell, only n = -shell and n = shell in between
+        edge = range(-shell, shell + 1)
+        side = (-shell, shell)
+        for m in edge:
+            mt = m * t
+            for n in (edge if abs(m) == shell else side):
+                total += (mt + n) ** (-k)
     gap = _square_boundary_gap(t)
     tail = 8.0 * gap ** (-k) * radius ** (2 - k) / (k - 2)
     return EvalResult(total, tail, (2 * radius + 1) ** 2 - 1)
