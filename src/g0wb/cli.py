@@ -332,99 +332,72 @@ def _cmd_kappa(args) -> int:
     return EXIT_OK if selection.winner is not None else EXIT_FAILED
 
 
+_REQUIRED = {"required": True}
+_INT = {"type": int, "required": True}
+_FLAG = {"action": "store_true"}
+
+# subcommand, help, handler, and its arguments in the order they are added
+_COMMANDS = (
+    ("modpoly", "build the order-m modular polynomial of a series", _cmd_modpoly,
+     [("--series", _REQUIRED), ("--order", _INT), ("--out", {}), ("--generalised", _FLAG),
+      ("--conductor", {"type": int, "default": None})]),
+    ("verify", "check a series against a modular polynomial", _cmd_verify,
+     [("--series", _REQUIRED), ("--modpoly", _REQUIRED), ("--order", _INT),
+      ("--generalised", _FLAG)]),
+    ("classify", "fiction / candidate / inconsistent screening", _cmd_classify,
+     [("--series", _REQUIRED),
+      ("--orders", {"required": True, "help": "comma-separated orders, e.g. 2,3"})]),
+    ("bootstrap", "extend a series prefix with its polynomial", _cmd_bootstrap,
+     [("--series", _REQUIRED), ("--modpoly", _REQUIRED), ("--order", _INT),
+      ("--target", _INT), ("--out", {})]),
+    ("replicate", "coefficient recursions against the square series", _cmd_replicate,
+     [("--series", _REQUIRED), ("--square", _REQUIRED),
+      ("--k-max", {"type": int, "required": True, "dest": "k_max"})]),
+    ("avg", "prime averaging operator", _cmd_avg,
+     [("--series", _REQUIRED), ("--prime", _INT), ("--express", _FLAG)]),
+    ("member", "congruence-subgroup membership", _cmd_member,
+     [("--matrix", {"required": True, "help": "a,b,c,d"}), ("--level", _INT),
+      ("--flavor", {"choices": ("gamma0", "gamma1", "full"), "required": True})]),
+    ("eval", "numeric evaluation of a series", _cmd_eval,
+     [("--series", _REQUIRED), ("--tau", {"required": True, "help": "RE,IM"})]),
+    ("eta", "eta product value or its weight-1/2 law", _cmd_eta,
+     [("--tau", _REQUIRED), ("--terms", {"type": int, "default": 120}), ("--law", _FLAG),
+      ("--matrix", {})]),
+    ("eisenstein", "lattice sum value or its weight-k law", _cmd_eisenstein,
+     [("--k", _INT), ("--tau", _REQUIRED), ("--radius", _INT), ("--law", _FLAG),
+      ("--matrix", {})]),
+    ("braid", "word operations: projection, degree, multiplier, lift", _cmd_braid,
+     [("action", {"choices": ("burau", "degree", "multiplier", "lift")}),
+      ("--word", {"required": True, "help": 'e.g. "s1 s2^-1 s1"'})]),
+    ("quilt", "orbit of a pair under the two-sided action", _cmd_quilt,
+     [("--group", {"required": True, "help": "path to a Cayley-table file"}),
+      ("--start", {"required": True, "help": "g,h element labels"})]),
+    ("kappa", "select the eta-multiplier constant numerically", _cmd_kappa,
+     [("--terms", {"type": int, "default": 120})]),
+)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="g0wb",
         description="exact workbench for q-series modular equations, "
                     "series screening, and the two-generator braid group")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("modpoly", help="build the order-m modular polynomial of a series")
-    p.add_argument("--series", required=True)
-    p.add_argument("--order", type=int, required=True)
-    p.add_argument("--out")
-    p.add_argument("--generalised", action="store_true")
-    p.add_argument("--conductor", type=int, default=None)
-    p.set_defaults(fn=_cmd_modpoly)
-
-    p = sub.add_parser("verify", help="check a series against a modular polynomial")
-    p.add_argument("--series", required=True)
-    p.add_argument("--modpoly", required=True)
-    p.add_argument("--order", type=int, required=True)
-    p.add_argument("--generalised", action="store_true")
-    p.set_defaults(fn=_cmd_verify)
-
-    p = sub.add_parser("classify", help="fiction / candidate / inconsistent screening")
-    p.add_argument("--series", required=True)
-    p.add_argument("--orders", required=True, help="comma-separated orders, e.g. 2,3")
-    p.set_defaults(fn=_cmd_classify)
-
-    p = sub.add_parser("bootstrap", help="extend a series prefix with its polynomial")
-    p.add_argument("--series", required=True)
-    p.add_argument("--modpoly", required=True)
-    p.add_argument("--order", type=int, required=True)
-    p.add_argument("--target", type=int, required=True)
-    p.add_argument("--out")
-    p.set_defaults(fn=_cmd_bootstrap)
-
-    p = sub.add_parser("replicate", help="coefficient recursions against the square series")
-    p.add_argument("--series", required=True)
-    p.add_argument("--square", required=True)
-    p.add_argument("--k-max", type=int, required=True, dest="k_max")
-    p.set_defaults(fn=_cmd_replicate)
-
-    p = sub.add_parser("avg", help="prime averaging operator")
-    p.add_argument("--series", required=True)
-    p.add_argument("--prime", type=int, required=True)
-    p.add_argument("--express", action="store_true")
-    p.set_defaults(fn=_cmd_avg)
-
-    p = sub.add_parser("member", help="congruence-subgroup membership")
-    p.add_argument("--matrix", required=True, help="a,b,c,d")
-    p.add_argument("--level", type=int, required=True)
-    p.add_argument("--flavor", choices=("gamma0", "gamma1", "full"), required=True)
-    p.set_defaults(fn=_cmd_member)
-
-    p = sub.add_parser("eval", help="numeric evaluation of a series")
-    p.add_argument("--series", required=True)
-    p.add_argument("--tau", required=True, help="RE,IM")
-    p.set_defaults(fn=_cmd_eval)
-
-    p = sub.add_parser("eta", help="eta product value or its weight-1/2 law")
-    p.add_argument("--tau", required=True)
-    p.add_argument("--terms", type=int, default=120)
-    p.add_argument("--law", action="store_true")
-    p.add_argument("--matrix")
-    p.set_defaults(fn=_cmd_eta)
-
-    p = sub.add_parser("eisenstein", help="lattice sum value or its weight-k law")
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--tau", required=True)
-    p.add_argument("--radius", type=int, required=True)
-    p.add_argument("--law", action="store_true")
-    p.add_argument("--matrix")
-    p.set_defaults(fn=_cmd_eisenstein)
-
-    p = sub.add_parser("braid", help="word operations: projection, degree, multiplier, lift")
-    p.add_argument("action", choices=("burau", "degree", "multiplier", "lift"))
-    p.add_argument("--word", required=True, help='e.g. "s1 s2^-1 s1"')
-    p.set_defaults(fn=_cmd_braid)
-
-    p = sub.add_parser("quilt", help="orbit of a pair under the two-sided action")
-    p.add_argument("--group", required=True, help="path to a Cayley-table file")
-    p.add_argument("--start", required=True, help="g,h element labels")
-    p.set_defaults(fn=_cmd_quilt)
-
-    p = sub.add_parser("kappa", help="select the eta-multiplier constant numerically")
-    p.add_argument("--terms", type=int, default=120)
-    p.set_defaults(fn=_cmd_kappa)
-
+    for name, text, handler, arguments in _COMMANDS:
+        p = sub.add_parser(name, help=text)
+        for flag, options in arguments:
+            p.add_argument(flag, **options)
+        p.set_defaults(fn=handler)
     return parser
 
 
+# built on the first call and shared afterwards: parsing never mutates the
+# tree, and racing first calls only build equal ones
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.fn(args)
     except (OSError, ParseError, CorruptCorpus, ShapeError,
@@ -440,10 +413,6 @@ def main(argv=None) -> int:
     except G0wbError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_DATA
-
-
-def console() -> None:  # pragma: no cover
-    sys.exit(main())
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -17,6 +17,8 @@ import functools
 import math
 import re
 from fractions import Fraction
+from itertools import repeat
+from operator import add, mul, sub
 
 from .errors import NotCoprime, ParseError
 
@@ -43,6 +45,7 @@ def prime_divisors(n: int) -> list[int]:
     return primes
 
 
+@functools.lru_cache(maxsize=1024)
 def euler_phi(n: int) -> int:
     """Euler's totient, by trial-division factorization."""
     if n < 1:
@@ -60,27 +63,70 @@ def check_conductor(conductor: int, line: int) -> None:
         raise ParseError(f"conductor {conductor} outside 1..{MAX_CONDUCTOR}", line=line)
 
 
-def _int_poly_divmod(num: tuple[int, ...], den: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Exact division of integer polynomials (dense, ascending coefficients).
-
-    Raises if a leading-coefficient division is inexact; only used with monic
-    divisors here, where it never is.
-    """
-    num_l = list(num)
+def _poly_divmod(num, den) -> tuple[list, list]:
+    """Quotient and remainder of dense ascending polynomials.  Integer
+    polynomials stay integral when the divisor is monic."""
+    num, lead = list(num), den[-1]
     q = [0] * max(len(num) - len(den) + 1, 0)
-    dlead = den[-1]
     for shift in range(len(num) - len(den), -1, -1):
-        coeff, rem = divmod(num_l[shift + len(den) - 1], dlead)
-        if rem:
-            raise ArithmeticError("inexact integer polynomial division")
-        q[shift] = coeff
-        if coeff:
+        c = num[shift + len(den) - 1]
+        q[shift] = c = c if lead == 1 else c / lead
+        if c:
             for i, d in enumerate(den):
-                num_l[shift + i] -= coeff * d
-    r = num_l[: len(den) - 1]
+                num[shift + i] -= c * d
+    r = num[: len(den) - 1]
     while r and r[-1] == 0:
         r.pop()
-    return tuple(q), tuple(r)
+    return q, r
+
+
+def _convolve(a: list, b: list, n: int, first: int = 0) -> list:
+    """Entries first..n-1 (zeros before) of the product of two dense
+    ascending polynomials.  A sparse factor is scattered term by term;
+    otherwise each entry is one dot product."""
+    a, b = a[:n], b[:n]
+    if a.count(0) * len(b) < b.count(0) * len(a):
+        a, b = b, a
+    la, lb = len(a), len(b)
+    if not first and 2 * a.count(0) > la:
+        out = [0] * n
+        for i, x in enumerate(a):
+            if x:
+                j = min(n, i + lb)
+                out[i:j] = map(add, out[i:j], map(mul, b, repeat(x)))
+        return out
+    rb, out = b[::-1], [0] * first
+    for k in range(first, min(n, la + lb - 1)):
+        i0, i1 = max(0, k - lb + 1), min(k, la - 1)
+        out.append(sum(map(mul, a[i0:i1 + 1], rb[lb - 1 - k + i0:lb - k + i1])))
+    return out + [0] * (n - len(out))
+
+
+def _promote(vec: list, basis: int, target: int, power: int = 1) -> list:
+    """Flat blocks of power-basis coefficients for conductor ``basis``,
+    rewritten on the conductor-``target`` basis (``basis`` divides
+    ``target``) after xi -> xi^power."""
+    if basis == target and power == 1 or not vec:
+        return vec
+    phi, wide, table = euler_phi(basis), euler_phi(target), _power_table(target)
+    out = [0] * (len(vec) // phi * wide)
+    for i in range(phi):
+        for j, r in enumerate(table[i * power * (target // basis) % target]):
+            if r:
+                out[j::wide] = map(add, out[j::wide], map(mul, vec[i::phi], repeat(r)))
+    return out
+
+
+def _fold(raw: list, phi: int, basis: int, n: int) -> list:
+    """n flat blocks of sum_p raw[p] * xi^p on the conductor-``basis`` power
+    basis; raw[p] is a column of n values (one per block) or None."""
+    out, table = [0] * (n * phi), _power_table(basis)
+    for p, column in enumerate(raw):
+        if column is not None:
+            for j, r in enumerate(table[p % basis]):
+                if r:
+                    out[j::phi] = map(add, out[j::phi], map(mul, column, repeat(r)))
+    return out
 
 
 @functools.lru_cache(maxsize=None)
@@ -101,10 +147,10 @@ def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
     poly: tuple[int, ...] = (-1,) + (0,) * (n - 1) + (1,)
     for d in range(1, n):
         if n % d == 0:
-            poly, rem = _int_poly_divmod(poly, cyclotomic_polynomial(d))
+            poly, rem = _poly_divmod(poly, cyclotomic_polynomial(d))
             if rem:
                 raise ArithmeticError("cyclotomic division left a remainder")
-    return poly
+    return tuple(poly)
 
 
 @functools.lru_cache(maxsize=None)
@@ -197,17 +243,7 @@ class CyclotomicNumber:
             return self
         if conductor % self.conductor != 0:
             raise ValueError(f"cannot embed conductor {self.conductor} into {conductor}")
-        step = conductor // self.conductor
-        table = _power_table(conductor)
-        acc = [_ZERO] * euler_phi(conductor)
-        for i, c in enumerate(self.coeffs):
-            if c == 0:
-                continue
-            row = table[(i * step) % conductor]
-            for j, r in enumerate(row):
-                if r:
-                    acc[j] += c * r
-        return CyclotomicNumber(conductor, acc)
+        return CyclotomicNumber(conductor, _promote(self.coeffs, self.conductor, conductor))
 
     def _paired(self, other: CyclotomicNumber) -> tuple[CyclotomicNumber, CyclotomicNumber]:
         if self.conductor == other.conductor:
@@ -240,29 +276,9 @@ class CyclotomicNumber:
         if self.conductor == 1 and other.conductor == 1:
             return CyclotomicNumber(1, (self.coeffs[0] * other.coeffs[0],))
         a, b = self._paired(other)
-        n = a.conductor
-        phi = len(a.coeffs)
-        # polynomial product with exponents mod n (xi^n = 1), then the table
-        # folds powers >= phi back onto the basis
-        raw = [_ZERO] * n
-        for i, x in enumerate(a.coeffs):
-            if x == 0:
-                continue
-            for j, y in enumerate(b.coeffs):
-                if y == 0:
-                    continue
-                raw[(i + j) % n] += x * y
-        table = _power_table(n)
-        acc = list(raw[:phi])
-        for p in range(phi, n):
-            c = raw[p]
-            if c == 0:
-                continue
-            row = table[p]
-            for j, r in enumerate(row):
-                if r:
-                    acc[j] += c * r
-        return CyclotomicNumber(n, acc)
+        raw = _convolve(list(a.coeffs), list(b.coeffs), 2 * len(a.coeffs) - 1)
+        return CyclotomicNumber(a.conductor, _fold([[c] for c in raw], len(a.coeffs),
+                                                   a.conductor, 1))
 
     __rmul__ = __mul__
 
@@ -362,16 +378,7 @@ class CyclotomicNumber:
             raise NotCoprime(f"sigma_{m} is not defined on conductor {n}")
         if n == 1 or m == 1:
             return self
-        table = _power_table(n)
-        acc = [_ZERO] * len(self.coeffs)
-        for i, c in enumerate(self.coeffs):
-            if c == 0:
-                continue
-            row = table[(i * m) % n]
-            for j, r in enumerate(row):
-                if r:
-                    acc[j] += c * r
-        return CyclotomicNumber(n, acc)
+        return CyclotomicNumber(n, _promote(self.coeffs, n, n, m))
 
     # -- comparison / display ----------------------------------------------
 
@@ -396,21 +403,7 @@ class CyclotomicNumber:
 
     def literal(self) -> str:
         """Canonical text form: ascending powers of z, no whitespace."""
-        if self.is_rational():
-            return format_rational(self.coeffs[0])
-        parts: list[str] = []
-        for power, c in enumerate(self.coeffs):
-            if c == 0:
-                continue
-            mag = format_rational(abs(c))
-            if power == 0:
-                body = mag
-            else:
-                zterm = "z" if power == 1 else f"z^{power}"
-                body = zterm if mag == "1" else mag + zterm
-            sign = "-" if c < 0 else ("+" if parts else "")
-            parts.append(sign + body)
-        return "".join(parts) if parts else "0"
+        return format_literal(self.coeffs)
 
 
 def _coerce(value) -> CyclotomicNumber:
@@ -437,39 +430,13 @@ def _half_ext_gcd(a, modulus):
             p.pop()
         return p
 
-    def divmod_poly(num, den):
-        num = list(num)
-        q = [_ZERO] * max(len(num) - len(den) + 1, 0)
-        for shift in range(len(num) - len(den), -1, -1):
-            c = num[shift + len(den) - 1] / den[-1]
-            q[shift] = c
-            if c:
-                for i, d in enumerate(den):
-                    num[shift + i] -= c * d
-        return q, trim(num[: len(den) - 1])
-
-    def mul_poly(p, q):
-        if not p or not q:
-            return []
-        out = [_ZERO] * (len(p) + len(q) - 1)
-        for i, x in enumerate(p):
-            if x:
-                for j, y in enumerate(q):
-                    out[i + j] += x * y
-        return trim(out)
-
-    def sub_poly(p, q):
-        out = list(p) + [_ZERO] * (len(q) - len(p))
-        for i, y in enumerate(q):
-            out[i] -= y
-        return trim(out)
-
     r0, r1 = trim(a), trim(modulus)
     s0, s1 = [_ONE], []
     while r1:
-        q, r = divmod_poly(r0, r1)
+        q, r = _poly_divmod(r0, r1)
         r0, r1 = r1, r
-        s0, s1 = s1, sub_poly(s0, mul_poly(q, s1))
+        qs = _convolve(q, s1, len(q) + len(s1) - 1) if q and s1 else []
+        s0, s1 = s1, trim(map(sub, s0 + [0] * (len(qs) - len(s0)), qs + [0] * (len(s0) - len(qs))))
     return r0, s0
 
 
@@ -516,6 +483,26 @@ def format_rational(value: Fraction) -> str:
     return f"{value.numerator}/{value.denominator}"
 
 
+def format_literal(coeffs) -> str:
+    """The literal of a number from its power-basis coefficients (ints or
+    Fractions): ascending powers of z, no whitespace."""
+    if not any(coeffs[1:]):
+        return format_rational(coeffs[0])
+    parts: list[str] = []
+    for power, c in enumerate(coeffs):
+        if c == 0:
+            continue
+        mag = format_rational(abs(c))
+        if power == 0:
+            body = mag
+        else:
+            zterm = "z" if power == 1 else f"z^{power}"
+            body = zterm if mag == "1" else mag + zterm
+        sign = "-" if c < 0 else ("+" if parts else "")
+        parts.append(sign + body)
+    return "".join(parts)
+
+
 def parse_rational(text: str) -> Fraction:
     try:
         return Fraction(text)
@@ -540,30 +527,13 @@ def parse_cyclotomic(text: str, conductor: int) -> CyclotomicNumber:
     if "z" not in text:
         return CyclotomicNumber.from_rational(parse_rational(text))
     result = CyclotomicNumber.root_of_unity(conductor, 0) * 0
-    pos = 0
-    sign = 1
-    if text[0] in "+-":
-        sign = -1 if text[0] == "-" else 1
-        pos = 1
-    while pos <= len(text):
-        nxt = len(text)
-        for i in range(pos, len(text)):
-            if text[i] in "+-":
-                nxt = i
-                break
-        term = text[pos:nxt]
+    pieces = re.split(r"(?=[+-])", text)
+    for piece in pieces[1:] if text[0] in "+-" else pieces:
+        sign, term = (-1 if piece[0] == "-" else 1, piece[1:]) if piece[0] in "+-" else (1, piece)
         m = _TERM_RE.match(term)
         if not m or (m.group("coef") is None and m.group("z") is None):
             raise ParseError(f"bad term {term!r} in cyclotomic literal {text!r}")
         coef = Fraction(m.group("coef")) if m.group("coef") else _ONE
-        if m.group("z"):
-            power = int(m.group("pow")) if m.group("pow") else 1
-            value = CyclotomicNumber.root_of_unity(conductor, power)
-        else:
-            value = CyclotomicNumber.one().promote(conductor)
-        result = result + value * (sign * coef)
-        if nxt == len(text):
-            break
-        sign = -1 if text[nxt] == "-" else 1
-        pos = nxt + 1
+        power = int(m.group("pow") or 1) if m.group("z") else 0
+        result = result + CyclotomicNumber.root_of_unity(conductor, power) * (sign * coef)
     return result

@@ -32,7 +32,7 @@ from .modeq import (
     psi,
     verify_modular_equation,
 )
-from .qseries import PuiseuxSeries, substitute_coset
+from .qseries import PuiseuxSeries, _coefficient_of_products, substitute_coset
 
 @dataclass(frozen=True)
 class Classification:
@@ -61,9 +61,9 @@ def detect_fiction(h: PuiseuxSeries) -> CyclotomicNumber | None:
     if h.trunc < 2:
         raise InsufficientTruncation(
             "fiction detection needs the series determined through q^2", required=2)
-    if set(h.coeffs) - {-1, 1}:
-        return None
-    return h.coefficient(1)
+    xi = h.coefficient(1)
+    fiction = PuiseuxSeries.make({-1: 1, 1: xi}, trunc=h.trunc, conductor=h.conductor)
+    return xi if (h - fiction).is_zero() else None
 
 
 def _is_admissible_xi(xi: CyclotomicNumber) -> bool:
@@ -141,11 +141,13 @@ def bootstrap_extend(h_prefix: PuiseuxSeries, poly: ModularPolynomial, m: int,
 
     Writes G = F(h(tau), h(m*tau)) and solves G = 0 a block of coefficients
     at a time.  With a_1..a_(n-1) fixed and the block's unknowns a_n..a_N
-    set to zero, G, dF/dx and dF/dy are evaluated once per block; a_k
-    enters G linearly through L_k = q^k * dF/dx + q^(mk) * dF/dy, and the
-    lowest exponent where L_k is nonzero (its pivot) pins a_k by forward
-    substitution.  The block ends before the first k whose pivot does not
-    increase, lies beyond the determined range, or reaches the lowest
+    set to zero, G, dF/dx and dF/dy are evaluated once per block, all three
+    from one cached ladder of powers of h.  a_k enters G linearly through
+    L_k = q^k * dF/dx + q^(mk) * dF/dy, and the lowest exponent where L_k
+    is nonzero (its pivot) pins a_k by forward substitution.  L_k is never
+    formed: its coefficients are read from dF/dx and dF/dy at the pivot
+    exponents only.  The block ends before the first k whose pivot does
+    not increase, lies beyond the determined range, or reaches the lowest
     exponent that a product of two unknowns can touch, so the linear
     solve is exact; a block of one coefficient is the order-by-order
     solve.  Every determined coefficient of G below a block's first pivot
@@ -162,18 +164,17 @@ def bootstrap_extend(h_prefix: PuiseuxSeries, poly: ModularPolynomial, m: int,
     d_dx = poly.derivative("x")
     d_dy = poly.derivative("y")
     monomials = [key for key, c in poly.coeffs.items() if not c.is_zero()]
-    known: dict[int, CyclotomicNumber] = dict(h_prefix.coeffs)
-    n = h_prefix.trunc + 1
-    while n <= target:
+    result = h_prefix
+    while result.trunc < target:
+        n = result.trunc + 1
         floor = _lowest_reach(monomials, m, n, 2)
         top = n
         while top < target and _lowest_reach(monomials, m, top + 1, 1) < floor:
             top += 1
-        h0 = PuiseuxSeries.make(known, trunc=top, conductor=h_prefix.conductor)
+        h0 = result._padded(top)
         y0 = substitute_coset(h0, m, 1, 0)
-        n = _solve_block(known, n, top, floor, m, poly.evaluate(h0, y0),
-                         d_dx.evaluate(h0, y0), d_dy.evaluate(h0, y0))
-    result = PuiseuxSeries.make(known, trunc=target, conductor=h_prefix.conductor)
+        result = _solve_block(h0, n, floor, m, poly.evaluate(h0, y0),
+                              d_dx.evaluate(h0, y0), d_dy.evaluate(h0, y0))
     report = verify_modular_equation(result, poly, m)
     if report.status != "consistent":
         raise Inconsistent(
@@ -193,17 +194,25 @@ def _lowest_reach(monomials: list[tuple[int, int]], m: int, k: int, degree: int)
                 if a <= i and degree - a <= j), default=math.inf)
 
 
-def _solve_block(known: dict[int, CyclotomicNumber], n: int, top: int, floor,
-                 m: int, value: PuiseuxSeries, f_x: PuiseuxSeries,
-                 f_y: PuiseuxSeries) -> int:
-    """Solve a_n, a_(n+1), ... (at most through a_top) into ``known`` from
-    G = ``value`` and the partial derivatives at the block's zero point;
-    returns the index of the next unknown."""
-    solved: list[tuple[CyclotomicNumber, PuiseuxSeries]] = []
+def _solve_block(h0: PuiseuxSeries, n: int, floor, m: int, value: PuiseuxSeries,
+                 f_x: PuiseuxSeries, f_y: PuiseuxSeries) -> PuiseuxSeries:
+    """Solve a_n, a_(n+1), ... (at most through h0's bound) from G =
+    ``value`` and the partial derivatives at the block's zero point h0;
+    returns h0 with the solved coefficients, determined through the last.
+    The solved part delta = sum a_k q^k is a series, so the residual at a
+    pivot p is one coefficient: G + F_x delta + F_y delta(m tau) at q^p."""
+    top = h0.trunc
+    delta, delta_m = PuiseuxSeries.zero(top), PuiseuxSeries.zero(m * top)
+    count = 0
     last = determined = None
     for k in range(n, top + 1):
-        linear = f_x.shift(k) + f_y.shift(m * k)
-        pivot = linear.min_nonzero_exponent()
+        forms = ((f_x, k), (f_y, m * k))  # L_k = q^k F_x + q^(mk) F_y
+        bound = min(f_x.trunc + k, f_y.trunc + m * k)
+        start = min((a.lo + b for a, b in forms if not a.is_zero()), default=bound + 1)
+        # past the first unknown, a pivot beyond these bounds ends the block
+        stop = bound if k == n else min(bound, math.floor(determined), floor - 1)
+        pivot, slope = next(((e, c) for e in range(start, stop + 1)
+                             if (c := _coefficient_of_products(e, forms))), (None, None))
         if k == n:
             if pivot is None:
                 raise BootstrapStalled(
@@ -217,19 +226,19 @@ def _solve_block(known: dict[int, CyclotomicNumber], n: int, top: int, floor,
                 raise Inconsistent(
                     f"relation already fails at q^{first} (coefficient "
                     f"{value.coefficient(first)}) before a_{n} can act")
-            determined = min(value.trunc_exponent(), linear.trunc_exponent())
+            determined = min(value.trunc_exponent(), bound)
         elif pivot is None or pivot <= last or pivot > determined or pivot >= floor:
             break
         # the forms of later unknowns vanish below their own, higher pivots
-        total = value.coefficient(pivot)
-        for a, form in solved:
-            total = total + a * form.coefficient(pivot)
-        a_k = -(total / linear.coefficient(pivot))
-        solved.append((a_k, linear))
-        if not a_k.is_zero():
-            known[k] = a_k
+        total = _coefficient_of_products(pivot, ((value, 0), (f_x, delta), (f_y, delta_m)))
+        if total is not None:
+            a_k = -(total / slope)
+            delta = delta + PuiseuxSeries.monomial(k, top, a_k, conductor=h0.conductor)
+            delta_m = delta_m + PuiseuxSeries.monomial(m * k, m * top, a_k,
+                                                       conductor=h0.conductor)
+        count += 1
         last = pivot
-    return n + len(solved)
+    return (h0 + delta).truncate(n + count - 1)
 
 
 def check_replication(a: PuiseuxSeries, b: PuiseuxSeries, k: int) -> bool:

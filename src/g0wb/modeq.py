@@ -10,6 +10,9 @@ Y-coefficients (the power-sum view of Conway-Norton 1979 and of Alexander,
 Cummins, McKay and Simons 1992); build expresses each as a polynomial in h
 and verification compares them with F(h, Y).
 
+Powers of h come from the ladder cached on h, so each is multiplied out
+once per series; constants are exact numbers, not series.
+
 The coset set uses the primitive pairs (d, k) with d | m, 0 <= k < d and
 gcd(m/d, k, d) = 1, which is exactly what makes |A_m| = psi(m) and the
 polynomial degree psi(m) work out for non-squarefree m.
@@ -37,20 +40,9 @@ from .errors import (
     ShapeError,
 )
 from .exactnum import CyclotomicNumber, check_conductor, parse_cyclotomic, prime_divisors
-from .qseries import PuiseuxSeries, compare_to_order
+from .qseries import PuiseuxSeries, _reweighted
 
 Coeff = CyclotomicNumber
-
-# Determination bound used for series that are exactly known everywhere
-# (constants, monomial fictions); large enough never to be the binding
-# constraint against real data.
-_KNOWN = 10**9
-
-
-def _constant_series(c, conductor: int = 1) -> PuiseuxSeries:
-    value = c if isinstance(c, CyclotomicNumber) else CyclotomicNumber.from_rational(c)
-    coeffs = {} if value.is_zero() else {0: value}
-    return PuiseuxSeries.make(coeffs, trunc=_KNOWN, denom=1, conductor=conductor)
 
 
 def psi(m: int) -> int:
@@ -113,36 +105,42 @@ def _class_weights(m: int, d: int) -> tuple[int, ...]:
 
 def _class_power_sum(s: PuiseuxSeries, m: int, d: int) -> PuiseuxSeries:
     """sum_{k in K_d} s(m*tau/d^2 + k/d): q^n goes to w_d(n) q^(n*m/d^2)."""
-    weights = _class_weights(m, d)
     g = math.gcd(d * d, m)
-    stretch = m // g
-    out = {n * stretch: c * weights[n % d] for n, c in s.coeffs.items() if weights[n % d]}
-    return PuiseuxSeries(s.conductor, d * d // g, s.lo * stretch, s.trunc * stretch, out)
+    return _reweighted(s, m // g, d * d // g, _class_weights(m, d), s.conductor)
 
 
 def _coset_elementary(h: PuiseuxSeries, m: int) -> list[PuiseuxSeries]:
     """e_0..e_psi(m) of the order-m coset roots of h, in the field of h:
     Newton's identities on each class's power sums (one run over all roots
     would let the q^-m pole of the d = 1 root eat the other classes'
-    depth), then the product of the class polynomials."""
+    depth), then the product of the class polynomials.  e_0 = 1 is exact;
+    it is handed out determined through q^(10^9), the bound the
+    coset-product oracle of the tests gives it."""
     sizes = collections.Counter(d for d, _ in coset_set(m).pairs)
-    powers = _power_ladder(h, max(sizes.values()))
-    total = [_constant_series(1)]
+    powers = h._powers(max(sizes.values()))
+    total: list = [1]
     for d, size in sorted(sizes.items()):
         sums = [_class_power_sum(powers[j], m, d) for j in range(1, size + 1)]
-        es = [_constant_series(1)]
+        es: list = [1]
         for k in range(1, size + 1):
             # k e_k = sum_{i=1..k} (-1)^(i-1) e_(k-i) p_i
-            terms = [es[k - i] * sums[i - 1] for i in range(1, k + 1)]
+            terms = [_times(es[k - i], sums[i - 1]) for i in range(1, k + 1)]
             signed = terms[0::2] + [-t for t in terms[1::2]]
             es.append(sum(signed[1:], signed[0]).scale(Fraction(1, k)))
         product = []
         for j in range(len(total) + size):
-            terms = [total[a] * es[j - a]
+            terms = [_times(total[a], es[j - a])
                      for a in range(max(0, j - size), min(j, len(total) - 1) + 1)]
             product.append(sum(terms[1:], terms[0]))
         total = product
-    return total
+    return [PuiseuxSeries.make({0: 1}, trunc=10**9)] + total[1:]
+
+
+def _times(a, b):
+    """a * b where either may be an exact constant; the exact 0 stays exact."""
+    if isinstance(b, PuiseuxSeries) and not isinstance(a, PuiseuxSeries):
+        return b.scale(a) if a else 0
+    return a * b
 
 
 def average_sum(f: PuiseuxSeries, p: int) -> PuiseuxSeries:
@@ -181,11 +179,12 @@ class UnivariatePoly:
         return CyclotomicNumber.zero()
 
     def __call__(self, x: PuiseuxSeries) -> PuiseuxSeries:
-        """Evaluate at a series (Horner)."""
-        result = _constant_series(0, x.conductor)
+        """Evaluate at a series (Horner); a constant polynomial gives its
+        constant, determined as far as x."""
+        result = 0
         for c in reversed(self.coeffs):
-            result = result * x + _constant_series(c, x.conductor)
-        return result
+            result = _times(result, x) + c
+        return result if isinstance(result, PuiseuxSeries) else x.scale(0) + result
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, UnivariatePoly):
@@ -236,7 +235,7 @@ def express_in_generator(f: PuiseuxSeries, h: PuiseuxSeries) -> UnivariatePoly:
     if f.denom != 1:
         raise NonIntegralInput("cannot express a series with fractional exponents")
     degree = f.pole_order()
-    powers = _power_ladder(h, degree)
+    powers = h._powers(degree)
     coeffs: dict[int, Coeff] = {}
     residual = f
     while True:
@@ -246,7 +245,7 @@ def express_in_generator(f: PuiseuxSeries, h: PuiseuxSeries) -> UnivariatePoly:
         j = int(-v)
         c = residual.coefficient(v)
         coeffs[j] = c
-        residual = residual - powers[j].scale(c)
+        residual = residual - (powers[j].scale(c) if j else c)
     if residual.trunc_exponent() < 0:
         raise InsufficientTruncation(
             "residual not determined through the constant term", required=0)
@@ -308,21 +307,23 @@ class ModularPolynomial:
         return slices
 
     def evaluate(self, x: PuiseuxSeries, y: PuiseuxSeries) -> PuiseuxSeries:
-        """F(x, y) for series arguments, Horner in y over precomputed x powers."""
-        xpangle = _power_ladder(x, self.degx)
+        """F(x, y) for series arguments, Horner in y over the powers of x
+        cached on x (so F and its partial derivatives at the same point
+        share them)."""
+        powers = x._powers(self.degx)
         slices = self.y_slices()
-        result = _combine_slice(slices[self.degy], xpangle, x)
+        result = _combine_slice(slices[self.degy], powers)
         for j in range(self.degy - 1, -1, -1):
-            result = result * y + _combine_slice(slices[j], xpangle, x)
-        return result
+            result = _times(result, y) + _combine_slice(slices[j], powers)
+        return result if isinstance(result, PuiseuxSeries) else x.scale(0) + result
 
     def derivative(self, variable: str) -> ModularPolynomial:
         out: dict[tuple[int, int], Coeff] = {}
         for (i, j), c in self.coeffs.items():
             if variable == "x" and i > 0:
-                out[(i - 1, j)] = out.get((i - 1, j), CyclotomicNumber.zero()) + c * i
+                out[(i - 1, j)] = c * i
             elif variable == "y" and j > 0:
-                out[(i, j - 1)] = out.get((i, j - 1), CyclotomicNumber.zero()) + c * j
+                out[(i, j - 1)] = c * j
         out = {k: v for k, v in out.items() if not v.is_zero()}
         dx = self.degx - (1 if variable == "x" else 0)
         dy = self.degy - (1 if variable == "y" else 0)
@@ -337,19 +338,11 @@ class ModularPolynomial:
     __hash__ = None
 
 
-def _power_ladder(x: PuiseuxSeries, top: int) -> list[PuiseuxSeries]:
-    powers = [_constant_series(1, x.conductor)]
-    for _ in range(top):
-        powers.append(powers[-1] * x)
-    return powers
-
-
-def _combine_slice(slice_map: dict[int, Coeff], xpowers: list[PuiseuxSeries],
-                   x: PuiseuxSeries) -> PuiseuxSeries:
-    acc = _constant_series(0, x.conductor)
-    for i, c in sorted(slice_map.items()):
-        acc = acc + xpowers[i].scale(c)
-    return acc
+def _combine_slice(slice_map: dict[int, Coeff], powers: tuple):
+    """sum_i c_i x^i from powers = (1, x, x^2, ...): the exact constant c_0
+    when the slice has no other term."""
+    terms = [powers[i].scale(c) if i else c for i, c in sorted(slice_map.items(), reverse=True)]
+    return sum(terms[1:], terms[0]) if terms else 0
 
 
 def required_truncation(m: int) -> int:
@@ -404,6 +397,10 @@ def build_modular_polynomial(h: PuiseuxSeries, m: int, generalised: bool = False
 
 def _project_coefficients(series: PuiseuxSeries, field: int, which: int) -> PuiseuxSeries:
     """Check every coefficient lies in Q[xi_field] and rewrite it there."""
+    if field % series._basis == 0:
+        return series if field == series.conductor else PuiseuxSeries._new(
+            field, series._basis, series.denom, series.trunc, series._start,
+            series._vec, series._den)
     out: dict[int, Coeff] = {}
     for n, c in series.nonzero_items():
         if not c.in_subfield(field):
@@ -443,20 +440,22 @@ def verify_modular_equation(h: PuiseuxSeries, poly: ModularPolynomial, m: int,
         raise ShapeError("verification needs q^-1 + O(q) input")
     elementary = _coset_elementary(h, m)
     generator = h if not generalised else h.map_coefficients(lambda c: c.galois(m))
-    xpangle = _power_ladder(generator, poly.degx)
+    powers = generator._powers(poly.degx)
     slices = poly.y_slices()
     verified_to: Fraction | None = None
     for t in range(len(slices)):
         lhs = -elementary[-1 - t] if t % 2 else elementary[-1 - t]
-        rhs = _combine_slice(slices[t], xpangle, generator)
-        bound = min(lhs.trunc_exponent(), rhs.trunc_exponent())
+        rhs = _combine_slice(slices[t], powers)
+        diff = lhs - rhs
+        bound = diff.trunc_exponent()
         verified_to = bound if verified_to is None else min(verified_to, bound)
         if bound < 0:
             return VerificationReport(m, bound, "insufficient-data")
-        cmp = compare_to_order(lhs, rhs, bound)
-        if not cmp.equal:
+        e = diff.min_nonzero_exponent()
+        if e is not None:
+            right = (rhs if isinstance(rhs, PuiseuxSeries) else lhs - diff).coefficient(e)
             return VerificationReport(m, verified_to, "inconsistent",
-                                      first_failure=(cmp.exponent, cmp.left, cmp.right))
+                                      first_failure=(e, lhs.coefficient(e), right))
     return VerificationReport(m, verified_to, "consistent")
 
 

@@ -8,6 +8,13 @@ tracked pessimistically by every operation: the result's ``trunc`` is the
 tightest exponent bound to which the result is fully determined by the
 inputs, never what the caller hopes for.
 
+Storage is FLINT's ``fmpq_poly`` layout: from the lowest to the highest
+nonzero term, each exponent holds the integer phi(N)-vector of a coefficient
+on the power basis of Q[xi_N], all over one common denominator; rationals
+are N = 1.  ``CyclotomicNumber`` objects appear only at the boundary
+(``coefficient``, ``coeffs``, reports).  A number added to a series is an
+exact constant: it never lowers ``trunc``.
+
 The text form (qexp v1) is bit-exact::
 
     # qexp v1
@@ -23,21 +30,57 @@ with lines sorted by exponent, zero coefficients omitted, LF endings.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add, mul, neg
+from types import MappingProxyType
 from typing import Iterable, Mapping
 
 from .errors import InsufficientTruncation, NonIntegralInput, ParseError
-from .exactnum import CyclotomicNumber, check_conductor, parse_cyclotomic
+from .exactnum import (CyclotomicNumber, _convolve, _fold, _promote, check_conductor,
+                       euler_phi, format_literal, parse_cyclotomic, parse_rational)
 
 Coeff = CyclotomicNumber
+_set = object.__setattr__
+
+# Most exponents a constructed series may span from its lowest to its
+# highest nonzero term: storage is dense over that span.
+MAX_SPAN = 100_000
 
 
-def _coerce_coeff(value) -> CyclotomicNumber:
+def _scalar(value) -> tuple[int, list[int], int]:
+    """An exact number as (conductor, integer vector, positive denominator)."""
     if isinstance(value, CyclotomicNumber):
-        return value
-    return CyclotomicNumber.from_rational(value)
+        conductor, entries = value.conductor, value.coeffs
+    else:
+        conductor, entries = 1, (Fraction(value),)
+    den = math.lcm(*(e.denominator for e in entries))
+    return conductor, [e.numerator * (den // e.denominator) for e in entries], den
+
+
+def _number(block, den: int, basis: int) -> CyclotomicNumber:
+    """One coefficient block as a CyclotomicNumber (conductor 1 if rational)."""
+    if not any(block[1:]):
+        return CyclotomicNumber(1, (Fraction(block[0], den),))
+    return CyclotomicNumber(basis, [Fraction(v, den) for v in block])
+
+
+def _product(av: list[int], bv: list[int], phi: int, basis: int, n: int,
+             first: int = 0) -> list[int]:
+    """Blocks 0..n-1 of the product of two block vectors (only blocks
+    first.. are computed): each pair of xi-columns is convolved in q, then
+    the xi-powers are folded onto the basis."""
+    raw: list = [None] * (2 * phi - 1)
+    for r in range(phi):
+        for s in range(phi):
+            x, y = av[r::phi], bv[s::phi]
+            if any(x) and any(y):
+                c = _convolve(x, y, n, first)
+                raw[r + s] = c if raw[r + s] is None else list(map(add, raw[r + s], c))
+    return _fold(raw, phi, basis, n)
 
 
 @dataclass(frozen=True)
@@ -61,9 +104,14 @@ class PuiseuxSeries:
     denominator is reduced to the smallest grid containing all nonzero
     terms, and ``lo`` is tightened to the lowest nonzero exponent (or to
     ``trunc`` for a series with no nonzero terms in range).
+
+    The vectors live in the field the coefficients were computed in, which
+    divides ``conductor``.  The ``coeffs`` view and the powers are cached on
+    first use, only ever replaced by equal values: safe to share.
     """
 
-    __slots__ = ("conductor", "denom", "lo", "trunc", "coeffs")
+    __slots__ = ("conductor", "denom", "lo", "trunc",
+                 "_basis", "_start", "_vec", "_den", "_view", "_ladder")
 
     def __init__(self, conductor: int, denom: int, lo: int, trunc: int,
                  coeffs: Mapping[int, Coeff]):
@@ -73,35 +121,33 @@ class PuiseuxSeries:
             raise ValueError("conductor must be >= 1")
         if lo > trunc:
             raise ValueError(f"lo {lo} exceeds trunc {trunc}")
-        clean = {n: _coerce_coeff(c) for n, c in coeffs.items()
-                 if not _coerce_coeff(c).is_zero()}
-        for n, c in clean.items():
-            if n < lo or n > trunc:
-                raise ValueError(f"exponent numerator {n} outside [{lo}, {trunc}]")
-            if conductor % c.conductor != 0:
-                raise ValueError(
-                    f"coefficient at {n} lives in conductor {c.conductor}, "
-                    f"outside the declared field Q[xi_{conductor}]")
-        # reduce the exponent grid: gcd of denominator and every numerator
-        g = denom
-        for n in clean:
-            g = math.gcd(g, n)
-            if g == 1:
-                break
-        if g > 1:
-            clean = {n // g: c for n, c in clean.items()}
-            lo = -((-lo) // g)   # ceil for the lower bound
-            trunc = trunc // g   # floor for the upper bound
-            denom //= g
-        if clean:
-            lo = min(clean)
-        else:
-            lo = trunc
-        object.__setattr__(self, "conductor", conductor)
-        object.__setattr__(self, "denom", denom)
-        object.__setattr__(self, "lo", lo)
-        object.__setattr__(self, "trunc", trunc)
-        object.__setattr__(self, "coeffs", clean)
+        values = {}
+        for n, c in coeffs.items():
+            b, v, d = _scalar(c)
+            if any(v):
+                if n < lo or n > trunc:
+                    raise ValueError(f"exponent numerator {n} outside [{lo}, {trunc}]")
+                if conductor % b != 0:
+                    raise ValueError(f"coefficient at {n} lives in conductor {b}, "
+                                     f"outside the declared field Q[xi_{conductor}]")
+                values[n] = b, v, d
+        if values and max(values) - min(values) >= MAX_SPAN:
+            raise ValueError(f"nonzero terms span {max(values) - min(values) + 1} exponents, "
+                             f"more than {MAX_SPAN}")
+        basis = math.lcm(*(b for b, _, _ in values.values()))
+        den = math.lcm(*(d for _, _, d in values.values()))
+        phi, start = euler_phi(basis), min(values, default=trunc)
+        vec = [0] * (max(values, default=start - 1) - start + 1) * phi
+        for n, (b, v, d) in values.items():
+            i = (n - start) * phi
+            vec[i:i + phi] = [x * (den // d) for x in _promote(v, b, basis)]
+        _fill(self, conductor, basis, denom, trunc, start, vec, den)
+
+    @staticmethod
+    def _new(conductor, basis, denom, trunc, start, vec, den) -> PuiseuxSeries:
+        out = object.__new__(PuiseuxSeries)
+        _fill(out, conductor, basis, denom, trunc, start, vec, den)
+        return out
 
     def __setattr__(self, name, value):
         raise AttributeError("PuiseuxSeries is immutable")
@@ -112,12 +158,11 @@ class PuiseuxSeries:
     def make(coeffs: Mapping[int, object], trunc: int, denom: int = 1,
              conductor: int = 1, lo: int | None = None) -> PuiseuxSeries:
         """Series from an exponent-numerator -> coefficient mapping."""
-        cmap = {n: _coerce_coeff(c) for n, c in coeffs.items()}
-        low = min(cmap) if cmap else trunc
+        low = min(coeffs) if coeffs else trunc
         if lo is not None:
             low = min(low, lo)
         low = min(low, trunc)
-        return PuiseuxSeries(conductor, denom, low, trunc, cmap)
+        return PuiseuxSeries(conductor, denom, low, trunc, coeffs)
 
     @staticmethod
     def zero(trunc: int, denom: int = 1, conductor: int = 1) -> PuiseuxSeries:
@@ -133,16 +178,22 @@ class PuiseuxSeries:
                   trunc: int | None = None) -> PuiseuxSeries:
         """q^-1 plus the given coefficients of q, q^2, ... (zero constant
         term); ``trunc`` defaults to the length of the tail."""
-        coeffs: dict[int, object] = {-1: 1}
-        n = 0
-        for n_minus_1, c in enumerate(tail):
-            n = n_minus_1 + 1
-            coeffs[n] = c
-        if trunc is None:
-            trunc = n
-        return PuiseuxSeries.make(coeffs, trunc=trunc, conductor=conductor)
+        coeffs = {-1: 1, **dict(enumerate(tail, start=1))}
+        return PuiseuxSeries.make(coeffs, trunc=len(coeffs) - 1 if trunc is None else trunc,
+                                  conductor=conductor)
 
     # -- inspection ---------------------------------------------------------
+
+    @property
+    def coeffs(self) -> Mapping[int, Coeff]:
+        """Read-only view exponent numerator -> coefficient of the nonzero
+        terms, in exponent order."""
+        if self._view is None:
+            phi, vec = euler_phi(self._basis), self._vec
+            _set(self, "_view", MappingProxyType({
+                self._start + i: _number(vec[i * phi:(i + 1) * phi], self._den, self._basis)
+                for i in range(len(vec) // phi) if any(vec[i * phi:(i + 1) * phi])}))
+        return self._view
 
     def exponent(self, numerator: int) -> Fraction:
         return Fraction(numerator, self.denom)
@@ -167,21 +218,20 @@ class PuiseuxSeries:
                 f"coefficient at {e} beyond determined range {self.trunc_exponent()}",
                 required=e,
             )
-        scaled = e * self.denom
-        if scaled.denominator != 1:
-            return CyclotomicNumber.zero()
-        return self.coeffs.get(int(scaled), CyclotomicNumber.zero())
+        scaled, phi = e * self.denom, euler_phi(self._basis)
+        i = (int(scaled) - self._start) * phi
+        if scaled.denominator == 1 and i >= 0 and any(self._vec[i:i + phi]):
+            return _number(self._vec[i:i + phi], self._den, self._basis)
+        return CyclotomicNumber.zero()
 
     def nonzero_items(self) -> list[tuple[int, Coeff]]:
-        return sorted(self.coeffs.items())
+        return list(self.coeffs.items())
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self._vec
 
     def min_nonzero_exponent(self) -> Fraction | None:
-        if not self.coeffs:
-            return None
-        return Fraction(min(self.coeffs), self.denom)
+        return Fraction(self._start, self.denom) if self._vec else None
 
     def pole_order(self) -> int:
         """Order of the pole at q = 0 (0 for a series with no negative terms)."""
@@ -197,9 +247,9 @@ class PuiseuxSeries:
         """Integral exponents, leading term exactly q^-1, zero constant term."""
         if self.denom != 1 or self.lo != -1 or self.trunc < 0:
             return False
-        if self.coeffs.get(-1) != CyclotomicNumber.one():
-            return False
-        return 0 not in self.coeffs
+        phi = euler_phi(self._basis)
+        return (self._vec[:phi] == [self._den] + [0] * (phi - 1)
+                and not any(self._vec[phi:2 * phi]))
 
     # -- canonical-form equality (declared conductor excluded) --------------
 
@@ -208,41 +258,54 @@ class PuiseuxSeries:
             return NotImplemented
         if (self.denom, self.lo, self.trunc) != (other.denom, other.lo, other.trunc):
             return False
-        if set(self.coeffs) != set(other.coeffs):
-            return False
-        return all(self.coeffs[n] == other.coeffs[n] for n in self.coeffs)
+        basis = math.lcm(self._basis, other._basis)
+        a = _promote(self._vec, self._basis, basis)
+        b = _promote(other._vec, other._basis, basis)
+        return len(a) == len(b) and all(x * other._den == y * self._den
+                                        for x, y in zip(a, b))
 
     __hash__ = None
 
     def __repr__(self) -> str:
+        items = self.nonzero_items()
         terms = []
-        for n, c in self.nonzero_items()[:6]:
+        for n, c in items[:6]:
             e = Fraction(n, self.denom)
             lit = c.literal()
             if "+" in lit[1:] or "-" in lit[1:] or "z" in lit:
                 lit = f"({lit})"
             terms.append(f"{lit}*q^({e})" if e != 0 else lit)
-        if len(self.coeffs) > 6:
+        if len(items) > 6:
             terms.append("...")
         body = " + ".join(terms) if terms else "0"
         return f"<series {body} | O(q^({self.trunc_exponent()}))>"
 
     # -- promotion ----------------------------------------------------------
 
-    def _scaled(self, denom: int) -> tuple[dict[int, Coeff], int, int]:
-        """Coefficients, lo and trunc renumbered onto a finer grid.
+    def _on(self, denom: int, basis: int) -> tuple[list[int], int, int]:
+        """Vector, start and trunc on the finer grid 1/denom and the larger
+        basis, still over this series' denominator."""
+        f, phi = denom // self.denom, euler_phi(basis)
+        vec = _promote(self._vec, self._basis, basis)
+        if f > 1 and vec:
+            fine = [0] * ((len(vec) // phi - 1) * f + 1) * phi
+            for j in range(phi):
+                fine[j::f * phi] = vec[j::phi]
+            vec = fine
+        return vec, self._start * f, self.trunc * f
 
-        Raw data, bypassing canonical reduction: the caller is aligning two
-        series for an operation and the constructor of the result will
-        re-canonicalize.
-        """
+    def _scaled(self, denom: int) -> tuple[dict[int, Coeff], int, int]:
+        """Coefficients, lo and trunc renumbered onto a finer grid."""
         if denom % self.denom != 0:
             raise ValueError(f"cannot refine grid 1/{self.denom} to 1/{denom}")
         f = denom // self.denom
-        if f == 1:
-            return dict(self.coeffs), self.lo, self.trunc
-        return ({n * f: c for n, c in self.coeffs.items()},
-                self.lo * f, self.trunc * f)
+        return {n * f: c for n, c in self.coeffs.items()}, self.lo * f, self.trunc * f
+
+    def _padded(self, trunc: int) -> PuiseuxSeries:
+        """The same terms declared determined through ``trunc``: every
+        coefficient above the current bound is asserted to be zero."""
+        return PuiseuxSeries._new(self.conductor, self._basis, self.denom, trunc,
+                                  self._start, self._vec, self._den)
 
     def with_conductor(self, conductor: int) -> PuiseuxSeries:
         """Re-declare the ambient coefficient field (must contain the old one)."""
@@ -250,7 +313,8 @@ class PuiseuxSeries:
             raise ValueError(f"conductor {conductor} does not contain {self.conductor}")
         if conductor == self.conductor:
             return self
-        return PuiseuxSeries(conductor, self.denom, self.lo, self.trunc, self.coeffs)
+        return PuiseuxSeries._new(conductor, self._basis, self.denom, self.trunc,
+                                  self._start, self._vec, self._den)
 
     def truncate(self, exponent) -> PuiseuxSeries:
         """Forget everything above the given exponent bound."""
@@ -258,8 +322,9 @@ class PuiseuxSeries:
         if e > self.trunc_exponent():
             raise ValueError("truncate cannot extend the determined range")
         bound = math.floor(e * self.denom)
-        kept = {n: c for n, c in self.coeffs.items() if n <= bound}
-        return PuiseuxSeries(self.conductor, self.denom, min(self.lo, bound), bound, kept)
+        keep = max(0, bound - self._start + 1) * euler_phi(self._basis)
+        return PuiseuxSeries._new(self.conductor, self._basis, self.denom, bound,
+                                  self._start, self._vec[:keep], self._den)
 
     def shift(self, by) -> PuiseuxSeries:
         """The series times q^by, by renumbering: lo, trunc and every
@@ -268,65 +333,85 @@ class PuiseuxSeries:
         known monomial q^by, without multiplying anything."""
         by = Fraction(by)
         d = math.lcm(self.denom, by.denominator)
-        coeffs, lo, trunc = self._scaled(d)
+        vec, start, trunc = self._on(d, self._basis)
         s = by.numerator * (d // by.denominator)
-        return PuiseuxSeries(self.conductor, d, lo + s, trunc + s,
-                             {n + s: c for n, c in coeffs.items()})
+        return PuiseuxSeries._new(self.conductor, self._basis, d, trunc + s, start + s,
+                                  vec, self._den)
 
     def map_coefficients(self, fn) -> PuiseuxSeries:
         """Apply an exact map to every coefficient (e.g. a Galois twist)."""
         return PuiseuxSeries(self.conductor, self.denom, self.lo, self.trunc,
                              {n: fn(c) for n, c in self.coeffs.items()})
 
+    def _powers(self, top: int) -> tuple:
+        """(1, x, x^2, ..., x^top) for this series x, x^0 the exact constant
+        1.  Extending the cache publishes a new tuple, so concurrent callers
+        at worst compute a power twice."""
+        ladder = self._ladder
+        if len(ladder) < top - 1:
+            grown = list(ladder)
+            while len(grown) < top - 1:
+                grown.append((grown[-1] if grown else self) * self)
+            ladder = tuple(grown)
+            if len(ladder) > len(self._ladder):
+                _set(self, "_ladder", ladder)
+        return (1, self) + ladder[:max(top - 1, 0)]
+
     # -- arithmetic ----------------------------------------------------------
 
     def __add__(self, other) -> PuiseuxSeries:
-        other = _coerce_series(other, like=self)
+        # a number is an exact constant: it never lowers the bound
+        exact = isinstance(other, (int, Fraction, CyclotomicNumber))
+        if exact:
+            b, v, d = _scalar(other)
+            other = PuiseuxSeries._new(math.lcm(self.conductor, b), b, 1, 0, 0, v, d)
+        elif not isinstance(other, PuiseuxSeries):
+            raise TypeError(f"cannot interpret {other!r} as a series")
         d = math.lcm(self.denom, other.denom)
-        out, lo_a, trunc_a = self._scaled(d)
-        bmap, lo_b, trunc_b = other._scaled(d)
-        for n, c in bmap.items():
-            if n in out:
-                out[n] = out[n] + c
-            else:
-                out[n] = c
-        trunc = min(trunc_a, trunc_b)
-        out = {n: c for n, c in out.items() if n <= trunc}
-        return PuiseuxSeries(math.lcm(self.conductor, other.conductor), d,
-                             min(lo_a, lo_b, trunc), trunc, out)
+        basis, den = math.lcm(self._basis, other._basis), math.lcm(self._den, other._den)
+        phi = euler_phi(basis)
+        parts = [(*s._on(d, basis), den // s._den) for s in (self, other)]
+        trunc = parts[0][2] if exact else min(parts[0][2], parts[1][2])
+        parts = [p for p in parts if p[0]]
+        start = min((s for _, s, _, _ in parts), default=trunc)
+        stop = min(trunc + 1, max((s + len(v) // phi for v, s, _, _ in parts), default=0))
+        out = [0] * max(0, stop - start) * phi
+        for v, s, _, f in parts:
+            v, i = v[:max(0, stop - s) * phi], (s - start) * phi
+            out[i:i + len(v)] = map(add, out[i:i + len(v)], map(mul, v, itertools.repeat(f)))
+        return PuiseuxSeries._new(math.lcm(self.conductor, other.conductor), basis, d,
+                                  trunc, start, out, den)
 
     __radd__ = __add__
 
     def __neg__(self) -> PuiseuxSeries:
-        return PuiseuxSeries(self.conductor, self.denom, self.lo, self.trunc,
-                             {n: -c for n, c in self.coeffs.items()})
+        return PuiseuxSeries._new(self.conductor, self._basis, self.denom, self.trunc,
+                                  self._start, list(map(neg, self._vec)), self._den)
 
     def __sub__(self, other) -> PuiseuxSeries:
-        return self + (-_coerce_series(other, like=self))
+        return self + (-other)
 
     def __rsub__(self, other) -> PuiseuxSeries:
-        return _coerce_series(other, like=self) + (-self)
+        return (-self) + other
 
     def scale(self, factor) -> PuiseuxSeries:
-        factor = _coerce_coeff(factor)
-        if factor.is_zero():
+        if not factor:
             return PuiseuxSeries.zero(self.trunc, self.denom, self.conductor)
-        return PuiseuxSeries(math.lcm(self.conductor, factor.conductor), self.denom,
-                             self.lo, self.trunc,
-                             {n: c * factor for n, c in self.coeffs.items()})
+        conductor = math.lcm(self.conductor, getattr(factor, "conductor", 1))
+        return _reweighted(self, 1, self.denom, [factor], conductor)
 
     def __mul__(self, other) -> PuiseuxSeries:
         if isinstance(other, (int, Fraction, CyclotomicNumber)):
             return self.scale(other)
         d = math.lcm(self.denom, other.denom)
-        amap, lo_a, trunc_a = self._scaled(d)
-        bmap, lo_b, trunc_b = other._scaled(d)
-        elo_a = min(amap) if amap else trunc_a + 1
-        elo_b = min(bmap) if bmap else trunc_b + 1
-        trunc = min(trunc_a + elo_b, trunc_b + elo_a)
-        out = _convolve(amap, bmap, trunc)
-        return PuiseuxSeries(math.lcm(self.conductor, other.conductor), d,
-                             min(elo_a + elo_b, trunc), trunc, out)
+        basis = math.lcm(self._basis, other._basis)
+        (av, sa, ta), (bv, sb, tb) = self._on(d, basis), other._on(d, basis)
+        trunc = min(ta + (sb if bv else tb + 1), tb + (sa if av else ta + 1))
+        phi = euler_phi(basis)
+        n = min(trunc - sa - sb + 1, (len(av) + len(bv)) // phi - 1) if av and bv else 0
+        vec = _product(av[:n * phi], bv[:n * phi], phi, basis, n) if n > 0 else []
+        return PuiseuxSeries._new(math.lcm(self.conductor, other.conductor), basis, d,
+                                  trunc, sa + sb, vec, self._den * other._den)
 
     __rmul__ = __mul__
 
@@ -337,66 +422,80 @@ class PuiseuxSeries:
             # the empty product is known wherever the base is
             return PuiseuxSeries.make({0: 1}, trunc=max(self.trunc, 0),
                                       denom=self.denom, conductor=self.conductor)
-        result = self
-        for _ in range(exponent - 1):
-            result = result * self
-        return result
+        return functools.reduce(mul, [self] * (exponent - 1), self)
 
 
-def _coerce_series(value, like: PuiseuxSeries) -> PuiseuxSeries:
-    if isinstance(value, PuiseuxSeries):
-        return value
-    if isinstance(value, (int, Fraction, CyclotomicNumber)):
-        return PuiseuxSeries.make({0: value}, trunc=like.trunc, denom=like.denom,
-                                  conductor=like.conductor)
-    raise TypeError(f"cannot interpret {value!r} as a series")
+def _fill(obj, conductor, basis, denom, trunc, start, vec, den) -> None:
+    """Set the slots in canonical form: no zero block at either end, the
+    coarsest exponent grid, and gcd(den, entries) = 1."""
+    phi = euler_phi(basis)
+    first = next(itertools.compress(itertools.count(), vec), None)
+    if first is None:
+        trunc //= denom
+        basis, denom, start, vec, den = 1, 1, trunc, [], 1
+    else:
+        last = (len(vec) - 1 - next(itertools.compress(itertools.count(), reversed(vec)))) // phi
+        vec, start = vec[first // phi * phi:(last + 1) * phi], start + first // phi
+        if denom > 1:
+            g = math.gcd(denom, *(start + i for i in range(len(vec) // phi)
+                                  if any(vec[i * phi:(i + 1) * phi])))
+            if g > 1:
+                coarse = [0] * ((len(vec) // phi - 1) // g + 1) * phi
+                for j in range(phi):
+                    coarse[j::phi] = vec[j::g * phi]
+                vec, start, trunc, denom = coarse, start // g, trunc // g, denom // g
+        g = math.gcd(den, *vec) if den > 1 else 1
+        if g > 1:
+            vec, den = [v // g for v in vec], den // g
+    for name, value in (("conductor", conductor), ("denom", denom), ("lo", start),
+                        ("trunc", trunc), ("_basis", basis), ("_start", start),
+                        ("_vec", vec), ("_den", den), ("_view", None), ("_ladder", ())):
+        _set(obj, name, value)
 
 
-def _convolve(a: Mapping[int, Coeff], b: Mapping[int, Coeff], bound: int) -> dict[int, Coeff]:
-    """Sparse convolution keeping exponents <= bound.  Integer and rational
-    coefficient maps take fast paths; mixed cyclotomic data falls back to
-    generic exact arithmetic."""
-    ra = _raw_rational(a)
-    rb = _raw_rational(b)
-    if ra is not None and rb is not None:
-        out: dict[int, Fraction] = {}
-        for u, x in ra.items():
-            for v, y in rb.items():
-                k = u + v
-                if k > bound:
-                    continue
-                if k in out:
-                    out[k] += x * y
-                else:
-                    out[k] = x * y
-        return {n: CyclotomicNumber.from_rational(c) for n, c in out.items() if c != 0}
-    outc: dict[int, Coeff] = {}
-    for u, x in a.items():
-        for v, y in b.items():
-            k = u + v
-            if k > bound:
-                continue
-            if k in outc:
-                outc[k] = outc[k] + x * y
-            else:
-                outc[k] = x * y
-    return {n: c for n, c in outc.items() if not c.is_zero()}
+def _reweighted(s: PuiseuxSeries, stretch: int, denom: int, factors,
+                conductor: int) -> PuiseuxSeries:
+    """sum_n c_n * factors[n mod len(factors)] * q^(n*stretch) on the grid
+    1/denom, over Q[xi_conductor]: every xi-column of s is scaled, a whole
+    column at a time, by the entries of the factors' multiplication
+    matrices."""
+    fs = [_scalar(f) for f in factors]
+    basis = math.lcm(s._basis, *(b for b, _, _ in fs))
+    phi, fden = euler_phi(basis), math.lcm(*(d for _, _, d in fs))
+    vs = [[x * (fden // d) for x in _promote(v, b, basis)] for b, v, d in fs]
+    # mats[r][i]: factor r times xi^i, on the basis
+    mats = [[_fold([[x] for x in [0] * i + v + [0] * (phi - 1 - i)], phi, basis, 1)
+             for i in range(phi)] for v in vs]
+    vec, shift = _promote(s._vec, s._basis, basis), s._start % len(fs)
+    out = [0] * ((len(vec) // phi - 1) * stretch + 1) * phi if vec else []
+    for i in range(phi):
+        for j in range(phi):
+            ws = [mats[(shift + r) % len(fs)][i][j] for r in range(len(fs))]
+            if any(ws):
+                out[j::stretch * phi] = map(add, out[j::stretch * phi],
+                                            map(mul, vec[i::phi], itertools.cycle(ws)))
+    return PuiseuxSeries._new(conductor, basis, denom, s.trunc * stretch,
+                              s._start * stretch, out, s._den * fden)
 
 
-def _raw_rational(coeffs: Mapping[int, Coeff]):
-    """Unwrap to plain int/Fraction values when every coefficient is
-    rational; ints stay ints so the convolution runs on machine arithmetic
-    whenever it can."""
-    out: dict[int, object] = {}
-    for n, c in coeffs.items():
-        if c.conductor != 1:
-            if not c.is_rational():
-                return None
-            value = c.rational_value()
-        else:
-            value = c.coeffs[0]
-        out[n] = value.numerator if value.denominator == 1 else value
-    return out
+def _coefficient_of_products(e: int, pairs) -> CyclotomicNumber | None:
+    """The coefficient of q^e in the sum of a*b over pairs of series with
+    integral exponents (an int b stands for q^b), or None when it is zero;
+    no bound is checked."""
+    terms = [(a, b if isinstance(b, PuiseuxSeries) else PuiseuxSeries._new(1, 1, 1, b, b, [1], 1))
+             for a, b in pairs]
+    basis = math.lcm(*(s._basis for pair in terms for s in pair))
+    den = math.lcm(*(a._den * b._den for a, b in terms))
+    phi = euler_phi(basis)
+    total = [0] * phi
+    for a, b in terms:
+        av, bv = _promote(a._vec, a._basis, basis), _promote(b._vec, b._basis, basis)
+        t = e - a._start - b._start
+        if 0 <= t < (len(av) + len(bv)) // phi - 1:
+            block = _product(av[:(t + 1) * phi], bv[:(t + 1) * phi], phi, basis, t + 1, t)
+            f = den // (a._den * b._den)
+            total = [x + f * y for x, y in zip(total, block[t * phi:])]
+    return _number(total, den, basis) if any(total) else None
 
 
 # -- spec-facing functional spellings ----------------------------------------
@@ -426,14 +525,8 @@ def substitute_coset(h: PuiseuxSeries, m: int, d: int, k: int) -> PuiseuxSeries:
     if not 0 <= k < d:
         raise ValueError(f"offset k={k} outside [0, {d})")
     g = math.gcd(d * d, m)
-    new_denom = d * d // g
-    stretch = m // g
-    conductor = math.lcm(h.conductor, d)
-    out: dict[int, Coeff] = {}
-    for n, c in h.coeffs.items():
-        root = CyclotomicNumber.root_of_unity(d, (k * n) % d)
-        out[n * stretch] = c * root
-    return PuiseuxSeries(conductor, new_denom, h.lo * stretch, h.trunc * stretch, out)
+    roots = [CyclotomicNumber.root_of_unity(d, k * r) for r in range(d)]
+    return _reweighted(h, m // g, d * d // g, roots, math.lcm(h.conductor, d))
 
 
 @dataclass(frozen=True)
@@ -456,18 +549,10 @@ def compare_to_order(a: PuiseuxSeries, b: PuiseuxSeries, order) -> Comparison:
                 f"{name} series determined only to {s.trunc_exponent()}, need {bound}",
                 required=bound,
             )
-    d = math.lcm(a.denom, b.denom)
-    amap, _, _ = a._scaled(d)
-    bmap, _, _ = b._scaled(d)
-    top = math.floor(bound * d)
-    for n in sorted(set(amap) | set(bmap)):
-        if n > top:
-            break
-        ca = amap.get(n, CyclotomicNumber.zero())
-        cb = bmap.get(n, CyclotomicNumber.zero())
-        if ca != cb:
-            return Comparison(False, Fraction(n, d), ca, cb)
-    return Comparison(True)
+    e = (a - b).min_nonzero_exponent()
+    if e is None or e > bound:
+        return Comparison(True)
+    return Comparison(False, e, a.coefficient(e), b.coefficient(e))
 
 
 # -- qexp v1 text format ------------------------------------------------------
@@ -481,10 +566,15 @@ def emit_qexp(series: PuiseuxSeries, label: str) -> str:
         f"lo: {series.lo}",
         f"trunc: {series.trunc}",
     ]
-    for n, c in series.nonzero_items():
-        # literals are read against the declared conductor, so coefficients
-        # carried on a smaller basis must be rewritten on the declared one
-        lines.append(f"{n} {c.promote(series.conductor).literal()}")
+    phi, den = euler_phi(series._basis), series._den
+    for i in range(len(series._vec) // phi):
+        block = series._vec[i * phi:(i + 1) * phi]
+        if any(block):
+            # literals are read against the declared conductor, so blocks on
+            # a smaller basis are rewritten on the declared one
+            block = _promote(block, series._basis, series.conductor)
+            entries = block if den == 1 else [Fraction(v, den) for v in block]
+            lines.append(f"{series._start + i} {format_literal(entries)}")
     return "\n".join(lines) + "\n"
 
 
@@ -512,7 +602,7 @@ def parse_qexp(text: str) -> tuple[PuiseuxSeries, str]:
     except ValueError as exc:
         raise ParseError(f"bad header value: {exc}") from exc
     check_conductor(conductor, line=3)
-    coeffs: dict[int, Coeff] = {}
+    coeffs: dict[int, object] = {}
     last = None
     for idx, line in enumerate(lines[6:], start=7):
         if not line.strip():
@@ -531,8 +621,12 @@ def parse_qexp(text: str) -> tuple[PuiseuxSeries, str]:
         last = n
         if not lo <= n <= trunc:
             raise ParseError(f"exponent {n} outside [{lo}, {trunc}]", line=idx)
-        coeff = parse_cyclotomic(parts[1], conductor)
-        if coeff.is_zero():
+        literal = parts[1].strip()
+        if literal and "z" not in literal:
+            coeff = parse_rational(literal)
+        else:
+            coeff = parse_cyclotomic(parts[1], conductor)
+        if not coeff:
             raise ParseError("explicit zero coefficient is not canonical", line=idx)
         coeffs[n] = coeff
     try:
