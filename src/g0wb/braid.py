@@ -23,7 +23,7 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .errors import MaslovUndefined, ParseError, RequiresPositiveC
-from .exactnum import CyclotomicNumber
+from .exactnum import CyclotomicNumber, _square_and_multiply
 from .matrices import IDENTITY, IntMatrix
 
 # Fixed by the numeric multiplier-law selection: of the two candidate
@@ -176,18 +176,6 @@ def extended_pow(x: ExtendedElement, n: int) -> ExtendedElement:
     associative."""
     return _square_and_multiply(x if n >= 0 else extended_inverse(x), abs(n),
                                 EXTENDED_IDENTITY, extended_mul)
-
-
-def _square_and_multiply(base, n: int, identity, mul):
-    """base^n for n >= 0 under an associative product."""
-    out = identity
-    while n:
-        if n & 1:
-            out = mul(out, base)
-        n >>= 1
-        if n:
-            base = mul(base, base)
-    return out
 
 
 def lift_braid(word: BraidWord) -> ExtendedElement:

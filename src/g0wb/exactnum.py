@@ -80,26 +80,44 @@ def _poly_divmod(num, den) -> tuple[list, list]:
     return q, r
 
 
-def _convolve(a: list, b: list, n: int, first: int = 0) -> list:
-    """Entries first..n-1 (zeros before) of the product of two dense
-    ascending polynomials.  A sparse factor is scattered term by term;
-    otherwise each entry is one dot product."""
+def _convolve(a: list, b: list, n: int) -> list:
+    """Entries 0..n-1 of the product of two dense ascending polynomials.
+    A sparse factor is scattered term by term; otherwise each entry is one
+    dot product."""
     a, b = a[:n], b[:n]
     if a.count(0) * len(b) < b.count(0) * len(a):
         a, b = b, a
     la, lb = len(a), len(b)
-    if not first and 2 * a.count(0) > la:
+    if 2 * a.count(0) > la:
         out = [0] * n
         for i, x in enumerate(a):
             if x:
                 j = min(n, i + lb)
                 out[i:j] = map(add, out[i:j], map(mul, b, repeat(x)))
         return out
-    rb, out = b[::-1], [0] * first
-    for k in range(first, min(n, la + lb - 1)):
+    rb, out = b[::-1], []
+    for k in range(min(n, la + lb - 1)):
         i0, i1 = max(0, k - lb + 1), min(k, la - 1)
         out.append(sum(map(mul, a[i0:i1 + 1], rb[lb - 1 - k + i0:lb - k + i1])))
     return out + [0] * (n - len(out))
+
+
+def _square_and_multiply(base, n: int, identity, mul):
+    """base^n for n >= 0 under an associative product."""
+    out = identity
+    while n:
+        if n & 1:
+            out = mul(out, base)
+        n >>= 1
+        if n:
+            base = mul(base, base)
+    return out
+
+
+def _integral(entries) -> tuple[list[int], int]:
+    """Rationals as integer numerators over their least common denominator."""
+    den = math.lcm(*(e.denominator for e in entries))
+    return [e.numerator * (den // e.denominator) for e in entries], den
 
 
 def _promote(vec: list, basis: int, target: int, power: int = 1) -> list:
@@ -276,9 +294,10 @@ class CyclotomicNumber:
         if self.conductor == 1 and other.conductor == 1:
             return CyclotomicNumber(1, (self.coeffs[0] * other.coeffs[0],))
         a, b = self._paired(other)
-        raw = _convolve(list(a.coeffs), list(b.coeffs), 2 * len(a.coeffs) - 1)
-        return CyclotomicNumber(a.conductor, _fold([[c] for c in raw], len(a.coeffs),
-                                                   a.conductor, 1))
+        (av, ad), (bv, bd) = _integral(a.coeffs), _integral(b.coeffs)
+        raw = _convolve(av, bv, 2 * len(av) - 1)
+        return CyclotomicNumber(a.conductor, [Fraction(c, ad * bd) for c in
+                                              _fold([[c] for c in raw], len(av), a.conductor, 1)])
 
     __rmul__ = __mul__
 
@@ -310,18 +329,8 @@ class CyclotomicNumber:
         return _coerce(other) / self
 
     def __pow__(self, exponent: int) -> CyclotomicNumber:
-        if exponent < 0:
-            return self.inverse() ** (-exponent)
-        result = CyclotomicNumber.one()
-        base = self
-        e = exponent
-        while e:
-            if e & 1:
-                result = result * base
-            e >>= 1
-            if e:
-                base = base * base
-        return result
+        base = self if exponent >= 0 else self.inverse()
+        return _square_and_multiply(base, abs(exponent), CyclotomicNumber.one(), mul)
 
     def in_subfield(self, n: int) -> bool:
         """True when the value lies in Q[xi_n].

@@ -9,9 +9,11 @@ verdict is "candidate to the tested depth".
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add, mul
 from typing import Iterable
 
 from .errors import (
@@ -23,16 +25,17 @@ from .errors import (
     NotInvariant,
     ShapeError,
 )
-from .exactnum import CyclotomicNumber
+from .exactnum import CyclotomicNumber, _convolve, _fold, _promote, euler_phi
 from .matrices import IntMatrix
 from .modeq import (
     ModularPolynomial,
     VerificationReport,
     build_modular_polynomial,
+    check_order,
     psi,
     verify_modular_equation,
 )
-from .qseries import PuiseuxSeries, _coefficient_of_products, substitute_coset
+from .qseries import PuiseuxSeries, _scalar, substitute_coset
 
 @dataclass(frozen=True)
 class Classification:
@@ -157,6 +160,7 @@ def bootstrap_extend(h_prefix: PuiseuxSeries, poly: ModularPolynomial, m: int,
     """
     if not h_prefix.is_moonshine_shape():
         raise ShapeError("bootstrap needs a q^-1 + O(q) seed")
+    check_order(m)
     if poly.degx != psi(m) or poly.degy != psi(m):
         raise ValueError(f"polynomial degrees != psi({m})")
     if target <= h_prefix.trunc:
@@ -167,10 +171,7 @@ def bootstrap_extend(h_prefix: PuiseuxSeries, poly: ModularPolynomial, m: int,
     result = h_prefix
     while result.trunc < target:
         n = result.trunc + 1
-        floor = _lowest_reach(monomials, m, n, 2)
-        top = n
-        while top < target and _lowest_reach(monomials, m, top + 1, 1) < floor:
-            top += 1
+        floor, top = _block_end(monomials, m, n, target)
         h0 = result._padded(top)
         y0 = substitute_coset(h0, m, 1, 0)
         result = _solve_block(h0, n, floor, m, poly.evaluate(h0, y0),
@@ -183,15 +184,22 @@ def bootstrap_extend(h_prefix: PuiseuxSeries, poly: ModularPolynomial, m: int,
     return result
 
 
-def _lowest_reach(monomials: list[tuple[int, int]], m: int, k: int, degree: int):
-    """Lowest exponent reachable by the terms of F(h, h(m*tau)) of the given
-    degree in unknowns sitting at q^k and above, from pole orders alone:
-    h ~ q^-1 and h(m*tau) ~ q^-m, and an unknown in place of a factor h
-    (of h(m*tau)) raises the exponent by k + 1 (by m(k + 1)).  Degree 1
-    bounds the pivot of L_k; degree 2 is the block's nonlinear floor."""
-    return min((-i - m * j + a * (k + 1) + (degree - a) * m * (k + 1)
-                for i, j in monomials for a in range(degree + 1)
-                if a <= i and degree - a <= j), default=math.inf)
+def _block_end(monomials: list[tuple[int, int]], m: int, n: int, target: int):
+    """(floor, top) of the block from a_n, from pole orders alone.  h ~ q^-1
+    and h(m*tau) ~ q^-m, and an unknown at q^k or above in place of a factor
+    h (of h(m*tau)) raises the exponent by k + 1 (by m(k + 1)), so a term of
+    F(h, h(m*tau)) of degree r in the unknowns reaches no lower than
+    b + w*(k + 1) for its pair (b, w).  The floor is the lowest such bound
+    for r = 2 at k = n; top is the last k <= target whose lowest r = 1 bound
+    (the lowest pivot of a_k) lies below the floor.  The bounds grow with k,
+    so top is the largest ceil((floor - b) / w) - 2."""
+    def terms(r):
+        return [(-i - m * j, a + (r - a) * m) for i, j in monomials for a in range(r + 1)
+                if a <= i and r - a <= j]
+    floor = min((b + w * (n + 1) for b, w in terms(2)), default=math.inf)
+    if floor == math.inf:
+        return floor, target if terms(1) else n
+    return floor, min(target, max([n] + [-((b - floor) // w) - 2 for b, w in terms(1)]))
 
 
 def _solve_block(h0: PuiseuxSeries, n: int, floor, m: int, value: PuiseuxSeries,
@@ -199,46 +207,89 @@ def _solve_block(h0: PuiseuxSeries, n: int, floor, m: int, value: PuiseuxSeries,
     """Solve a_n, a_(n+1), ... (at most through h0's bound) from G =
     ``value`` and the partial derivatives at the block's zero point h0;
     returns h0 with the solved coefficients, determined through the last.
-    The solved part delta = sum a_k q^k is a series, so the residual at a
-    pivot p is one coefficient: G + F_x delta + F_y delta(m tau) at q^p."""
-    top = h0.trunc
-    delta, delta_m = PuiseuxSeries.zero(top), PuiseuxSeries.zero(m * top)
-    count = 0
-    last = determined = None
-    for k in range(n, top + 1):
+    G, F_x and F_y are read as integer xi-columns over one denominator and
+    the a_k are kept as integer columns over another, so the coefficient of
+    L_k at e is read off F_x at e - k and F_y at e - mk, and the residual
+    G + F_x delta + F_y delta(m tau) at a pivot is a set of integer dot
+    products.  delta = sum a_k q^k becomes a series once, at the end."""
+    basis = math.lcm(h0._basis, value._basis, f_x._basis, f_y._basis)
+    phi, den = euler_phi(basis), math.lcm(value._den, f_x._den, f_y._den)
+    g, x, y = (_columns(s, basis, den) for s in (value, f_x, f_y))
+    solved, scale = [[] for _ in range(phi)], 1  # a_k = solved[r][k - n] / scale
+    last = determined = inverted = None
+    for k in range(n, h0.trunc + 1):
         forms = ((f_x, k), (f_y, m * k))  # L_k = q^k F_x + q^(mk) F_y
         bound = min(f_x.trunc + k, f_y.trunc + m * k)
         start = min((a.lo + b for a, b in forms if not a.is_zero()), default=bound + 1)
         # past the first unknown, a pivot beyond these bounds ends the block
-        stop = bound if k == n else min(bound, math.floor(determined), floor - 1)
+        stop = bound if k == n else min(bound, determined, floor - 1)
         pivot, slope = next(((e, c) for e in range(start, stop + 1)
-                             if (c := _coefficient_of_products(e, forms))), (None, None))
+                             if any(c := list(map(add, _read(x, e - k), _read(y, e - m * k))))),
+                            (None, None))
         if k == n:
             if pivot is None:
                 raise BootstrapStalled(
                     f"linear coefficient of a_{n} vanishes on the determined range")
-            if value.trunc_exponent() < pivot:
+            if value.trunc < pivot:
                 raise InsufficientSeed(
-                    f"seed determines the relation only through q^{value.trunc_exponent()}, "
+                    f"seed determines the relation only through q^{value.trunc}, "
                     f"need q^{pivot} to solve for a_{n}")
             first = value.min_nonzero_exponent()
             if first is not None and first < pivot:
                 raise Inconsistent(
                     f"relation already fails at q^{first} (coefficient "
                     f"{value.coefficient(first)}) before a_{n} can act")
-            determined = min(value.trunc_exponent(), bound)
+            determined = min(value.trunc, bound)
         elif pivot is None or pivot <= last or pivot > determined or pivot >= floor:
             break
         # the forms of later unknowns vanish below their own, higher pivots
-        total = _coefficient_of_products(pivot, ((value, 0), (f_x, delta), (f_y, delta_m)))
-        if total is not None:
-            a_k = -(total / slope)
-            delta = delta + PuiseuxSeries.monomial(k, top, a_k, conductor=h0.conductor)
-            delta_m = delta_m + PuiseuxSeries.monomial(m * k, m * top, a_k,
-                                                       conductor=h0.conductor)
-        count += 1
+        raw = [0] * (2 * phi - 1)
+        for r, (xr, yr) in enumerate(zip(x[1], y[1])):
+            for t, a in enumerate(solved):
+                raw[r + t] += (_dot(xr, pivot - n - x[0], 1, a)
+                               + _dot(yr, pivot - m * n - y[0], m, a))
+        residual = list(map(add, _fold([[c] for c in raw], phi, basis, 1),
+                            map(mul, _read(g, pivot), itertools.repeat(scale))))
+        if slope != inverted:  # the pivot slope mostly repeats within a block
+            inverted, (_, inverse, inverse_den) = slope, _scalar(
+                CyclotomicNumber(basis, slope).inverse())
+        # a_k = -residual / (scale * slope) = a_k / d in lowest terms
+        a_k = [-c for c in _fold([[c] for c in _convolve(residual, inverse, 2 * phi - 1)],
+                                 phi, basis, 1)]
+        common = math.gcd(scale * inverse_den, *a_k)
+        a_k, d = [c // common for c in a_k], scale * inverse_den // common
+        if scale % d:
+            grow, scale = math.lcm(scale, d) // scale, math.lcm(scale, d)
+            solved = [[c * grow for c in column] for column in solved]
+        for column, c in zip(solved, a_k):
+            column.append(c * (scale // d))
         last = pivot
-    return (h0 + delta).truncate(n + count - 1)
+    delta = PuiseuxSeries._new(h0.conductor, basis, 1, h0.trunc, n,
+                               [c for block in zip(*solved) for c in block], scale)
+    return (h0 + delta).truncate(n + len(solved[0]) - 1)
+
+
+def _columns(s: PuiseuxSeries, basis: int, den: int) -> tuple[int, list[list[int]]]:
+    """A series on the integral grid as (lowest stored exponent, xi-columns
+    on the basis over den): column r holds entry r of every coefficient."""
+    vec, phi = _promote(s._vec, s._basis, basis), euler_phi(basis)
+    return s._start, [[c * (den // s._den) for c in vec[r::phi]] for r in range(phi)]
+
+
+def _read(series: tuple[int, list[list[int]]], e: int) -> list[int]:
+    """The coefficient vector at q^e of a series given by ``_columns``."""
+    i = e - series[0]
+    return [column[i] if 0 <= i < len(column) else 0 for column in series[1]]
+
+
+def _dot(column: list[int], hi: int, step: int, a: list[int]) -> int:
+    """sum_t column[hi - step*t] * a[t] over the t whose index lies in the
+    column."""
+    first, last = max(0, -((len(column) - 1 - hi) // step)), min(len(a) - 1, hi // step)
+    if hi < 0 or first > last:
+        return 0
+    return sum(map(mul, column[hi - step * last:hi - step * first + 1:step],
+                   reversed(a[first:last + 1])))
 
 
 def check_replication(a: PuiseuxSeries, b: PuiseuxSeries, k: int) -> bool:

@@ -5,6 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import NotUnimodular, ParseError
+from .exactnum import _square_and_multiply
 
 
 @dataclass(frozen=True)
@@ -39,15 +40,8 @@ class IntMatrix:
         return IntMatrix(self.d, -self.b, -self.c, self.a)
 
     def __pow__(self, n: int) -> IntMatrix:
-        base = self if n >= 0 else self.inverse()
-        n = abs(n)
-        result = IDENTITY
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+        return _square_and_multiply(self if n >= 0 else self.inverse(), abs(n), IDENTITY,
+                                    IntMatrix.__mul__)
 
     def moebius(self, tau: complex) -> complex:
         """Fractional linear action (a*tau + b) / (c*tau + d)."""

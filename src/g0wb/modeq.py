@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import collections
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -39,10 +40,22 @@ from .errors import (
     ParseError,
     ShapeError,
 )
-from .exactnum import CyclotomicNumber, check_conductor, parse_cyclotomic, prime_divisors
-from .qseries import PuiseuxSeries, _reweighted
+from .exactnum import (MAX_CONDUCTOR, CyclotomicNumber, check_conductor, parse_cyclotomic,
+                       prime_divisors)
+from .qseries import PuiseuxSeries, _linear, _reweighted
 
 Coeff = CyclotomicNumber
+
+# Largest order a build, verification or bootstrap accepts.
+MAX_ORDER = 100
+
+
+def check_order(m: int) -> None:
+    """Refuse an order above MAX_ORDER before any work: psi factors m by
+    trial division, and a build's Newton sums grow as psi(m)^2 series
+    products even for a two-term input."""
+    if m > MAX_ORDER:
+        raise ValueError(f"order {m} exceeds the largest supported order {MAX_ORDER}")
 
 
 def psi(m: int) -> int:
@@ -94,13 +107,13 @@ def coset_set(m: int) -> CosetSet:
 @functools.lru_cache(maxsize=None)
 def _class_weights(m: int, d: int) -> tuple[int, ...]:
     """w_d(r) = sum_{k in K_d} xi_d^(k*r) for r = 0..d-1, K_d the offsets
-    paired with d in coset_set(m): exact rational integers.  Units mod d
-    permute K_d, so w_d(r) depends only on gcd(r, d)."""
-    ks = [k for e, k in coset_set(m).pairs if e == d]
-    by_gcd = {g: int(sum((CyclotomicNumber.root_of_unity(d, k * g) for k in ks),
-                         CyclotomicNumber.zero()).rational_value())
-              for g in range(1, d + 1) if d % g == 0}
-    return tuple(by_gcd[math.gcd(r, d)] for r in range(d))
+    paired with d in coset_set(m): the k mod d prime to g = gcd(d, m/d).
+    Moebius inversion over the squarefree e | g gives the closed form
+    w_d(r) = sum_e mu(e) * (d/e) * [d/e divides r], with no root of unity."""
+    primes = prime_divisors(math.gcd(d, m // d))
+    terms = [((-1) ** size, d // math.prod(chosen)) for size in range(len(primes) + 1)
+             for chosen in itertools.combinations(primes, size)]
+    return tuple(sum(mu * step for mu, step in terms if r % step == 0) for r in range(d))
 
 
 def _class_power_sum(s: PuiseuxSeries, m: int, d: int) -> PuiseuxSeries:
@@ -124,30 +137,23 @@ def _coset_elementary(h: PuiseuxSeries, m: int) -> list[PuiseuxSeries]:
         es: list = [1]
         for k in range(1, size + 1):
             # k e_k = sum_{i=1..k} (-1)^(i-1) e_(k-i) p_i
-            terms = [_times(es[k - i], sums[i - 1]) for i in range(1, k + 1)]
-            signed = terms[0::2] + [-t for t in terms[1::2]]
-            es.append(sum(signed[1:], signed[0]).scale(Fraction(1, k)))
-        product = []
-        for j in range(len(total) + size):
-            terms = [_times(total[a], es[j - a])
-                     for a in range(max(0, j - size), min(j, len(total) - 1) + 1)]
-            product.append(sum(terms[1:], terms[0]))
-        total = product
+            es.append(_linear([(Fraction((-1) ** (i - 1), k), es[k - i], sums[i - 1])
+                               for i in range(1, k + 1)]))
+        total = [_linear([(total[a], es[j - a])
+                          for a in range(max(0, j - size), min(j, len(total) - 1) + 1)])
+                 for j in range(len(total) + size)]
     return [PuiseuxSeries.make({0: 1}, trunc=10**9)] + total[1:]
-
-
-def _times(a, b):
-    """a * b where either may be an exact constant; the exact 0 stays exact."""
-    if isinstance(b, PuiseuxSeries) and not isinstance(a, PuiseuxSeries):
-        return b.scale(a) if a else 0
-    return a * b
 
 
 def average_sum(f: PuiseuxSeries, p: int) -> PuiseuxSeries:
     """The prime averaging f(p*tau) + sum_{k<p} f((tau+k)/p): the d = 1 and
     d = p class power sums of f at order p, whose weights cancel every
-    fractional exponent.  Declared over Q[xi_lcm(N, p)].
+    fractional exponent.  Declared over Q[xi_lcm(N, p)], so lcm(N, p) may
+    not exceed MAX_CONDUCTOR.
     """
+    if math.lcm(f.conductor, p) > MAX_CONDUCTOR:
+        raise ValueError(f"averaging order {p} puts the result in conductor "
+                         f"lcm({f.conductor}, {p}) > {MAX_CONDUCTOR}")
     if prime_divisors(p) != [p]:
         raise ValueError(f"averaging order {p} is not prime")
     if f.denom != 1:
@@ -183,7 +189,7 @@ class UnivariatePoly:
         constant, determined as far as x."""
         result = 0
         for c in reversed(self.coeffs):
-            result = _times(result, x) + c
+            result = _linear([(result, x), (c,)])
         return result if isinstance(result, PuiseuxSeries) else x.scale(0) + result
 
     def __eq__(self, other) -> bool:
@@ -245,7 +251,7 @@ def express_in_generator(f: PuiseuxSeries, h: PuiseuxSeries) -> UnivariatePoly:
         j = int(-v)
         c = residual.coefficient(v)
         coeffs[j] = c
-        residual = residual - (powers[j].scale(c) if j else c)
+        residual = _linear([(residual,), (-c, powers[j])])
     if residual.trunc_exponent() < 0:
         raise InsufficientTruncation(
             "residual not determined through the constant term", required=0)
@@ -311,10 +317,9 @@ class ModularPolynomial:
         cached on x (so F and its partial derivatives at the same point
         share them)."""
         powers = x._powers(self.degx)
-        slices = self.y_slices()
-        result = _combine_slice(slices[self.degy], powers)
-        for j in range(self.degy - 1, -1, -1):
-            result = _times(result, y) + _combine_slice(slices[j], powers)
+        result = 0
+        for slice_map in reversed(self.y_slices()):
+            result = _linear([(result, y)] + [(c, powers[i]) for i, c in slice_map.items()])
         return result if isinstance(result, PuiseuxSeries) else x.scale(0) + result
 
     def derivative(self, variable: str) -> ModularPolynomial:
@@ -338,13 +343,6 @@ class ModularPolynomial:
     __hash__ = None
 
 
-def _combine_slice(slice_map: dict[int, Coeff], powers: tuple):
-    """sum_i c_i x^i from powers = (1, x, x^2, ...): the exact constant c_0
-    when the slice has no other term."""
-    terms = [powers[i].scale(c) if i else c for i, c in sorted(slice_map.items(), reverse=True)]
-    return sum(terms[1:], terms[0]) if terms else 0
-
-
 def required_truncation(m: int) -> int:
     """Input depth needed to build the order-m polynomial, with guard terms."""
     return psi(m) * m + psi(m) + 8
@@ -364,6 +362,7 @@ def build_modular_polynomial(h: PuiseuxSeries, m: int, generalised: bool = False
     field = conductor if conductor is not None else h.conductor
     if generalised and math.gcd(m, field) != 1:
         raise ValueError(f"twisted construction needs gcd(m, {field}) = 1")
+    check_order(m)
     need = required_truncation(m)
     if h.trunc < need:
         raise InsufficientTruncation(
@@ -433,6 +432,7 @@ def verify_modular_equation(h: PuiseuxSeries, poly: ModularPolynomial, m: int,
     class power sums the build uses, and compared to the largest order the
     input truncation supports.  Failures are reported in-band, never raised.
     """
+    check_order(m)
     if poly.degx != psi(m) or poly.degy != psi(m):
         raise ValueError(
             f"polynomial degrees ({poly.degx}, {poly.degy}) != psi({m}) = {psi(m)}")
@@ -441,21 +441,20 @@ def verify_modular_equation(h: PuiseuxSeries, poly: ModularPolynomial, m: int,
     elementary = _coset_elementary(h, m)
     generator = h if not generalised else h.map_coefficients(lambda c: c.galois(m))
     powers = generator._powers(poly.degx)
-    slices = poly.y_slices()
     verified_to: Fraction | None = None
-    for t in range(len(slices)):
-        lhs = -elementary[-1 - t] if t % 2 else elementary[-1 - t]
-        rhs = _combine_slice(slices[t], powers)
-        diff = lhs - rhs
+    for t, slice_map in enumerate(poly.y_slices()):
+        lhs, sign = elementary[-1 - t], (-1) ** t
+        rhs = _linear([(c, powers[i]) for i, c in slice_map.items()])
+        diff = _linear([(sign, lhs), (-1, rhs)])
         bound = diff.trunc_exponent()
         verified_to = bound if verified_to is None else min(verified_to, bound)
         if bound < 0:
             return VerificationReport(m, bound, "insufficient-data")
         e = diff.min_nonzero_exponent()
         if e is not None:
-            right = (rhs if isinstance(rhs, PuiseuxSeries) else lhs - diff).coefficient(e)
-            return VerificationReport(m, verified_to, "inconsistent",
-                                      first_failure=(e, lhs.coefficient(e), right))
+            right = rhs if isinstance(rhs, PuiseuxSeries) else _linear([(sign, lhs), (-1, diff)])
+            return VerificationReport(m, verified_to, "inconsistent", first_failure=(
+                e, lhs.coefficient(e) * sign, right.coefficient(e)))
     return VerificationReport(m, verified_to, "consistent")
 
 

@@ -40,7 +40,7 @@ from types import MappingProxyType
 from typing import Iterable, Mapping
 
 from .errors import InsufficientTruncation, NonIntegralInput, ParseError
-from .exactnum import (CyclotomicNumber, _convolve, _fold, _promote, check_conductor,
+from .exactnum import (CyclotomicNumber, _convolve, _fold, _integral, _promote, check_conductor,
                        euler_phi, format_literal, parse_cyclotomic, parse_rational)
 
 Coeff = CyclotomicNumber
@@ -57,8 +57,7 @@ def _scalar(value) -> tuple[int, list[int], int]:
         conductor, entries = value.conductor, value.coeffs
     else:
         conductor, entries = 1, (Fraction(value),)
-    den = math.lcm(*(e.denominator for e in entries))
-    return conductor, [e.numerator * (den // e.denominator) for e in entries], den
+    return conductor, *_integral(entries)
 
 
 def _number(block, den: int, basis: int) -> CyclotomicNumber:
@@ -68,17 +67,16 @@ def _number(block, den: int, basis: int) -> CyclotomicNumber:
     return CyclotomicNumber(basis, [Fraction(v, den) for v in block])
 
 
-def _product(av: list[int], bv: list[int], phi: int, basis: int, n: int,
-             first: int = 0) -> list[int]:
-    """Blocks 0..n-1 of the product of two block vectors (only blocks
-    first.. are computed): each pair of xi-columns is convolved in q, then
-    the xi-powers are folded onto the basis."""
+def _product(av: list[int], bv: list[int], phi: int, basis: int, n: int) -> list[int]:
+    """Blocks 0..n-1 of the product of two block vectors: each pair of
+    xi-columns is convolved in q, then the xi-powers are folded onto the
+    basis."""
     raw: list = [None] * (2 * phi - 1)
     for r in range(phi):
         for s in range(phi):
             x, y = av[r::phi], bv[s::phi]
             if any(x) and any(y):
-                c = _convolve(x, y, n, first)
+                c = _convolve(x, y, n)
                 raw[r + s] = c if raw[r + s] is None else list(map(add, raw[r + s], c))
     return _fold(raw, phi, basis, n)
 
@@ -361,26 +359,7 @@ class PuiseuxSeries:
 
     def __add__(self, other) -> PuiseuxSeries:
         # a number is an exact constant: it never lowers the bound
-        exact = isinstance(other, (int, Fraction, CyclotomicNumber))
-        if exact:
-            b, v, d = _scalar(other)
-            other = PuiseuxSeries._new(math.lcm(self.conductor, b), b, 1, 0, 0, v, d)
-        elif not isinstance(other, PuiseuxSeries):
-            raise TypeError(f"cannot interpret {other!r} as a series")
-        d = math.lcm(self.denom, other.denom)
-        basis, den = math.lcm(self._basis, other._basis), math.lcm(self._den, other._den)
-        phi = euler_phi(basis)
-        parts = [(*s._on(d, basis), den // s._den) for s in (self, other)]
-        trunc = parts[0][2] if exact else min(parts[0][2], parts[1][2])
-        parts = [p for p in parts if p[0]]
-        start = min((s for _, s, _, _ in parts), default=trunc)
-        stop = min(trunc + 1, max((s + len(v) // phi for v, s, _, _ in parts), default=0))
-        out = [0] * max(0, stop - start) * phi
-        for v, s, _, f in parts:
-            v, i = v[:max(0, stop - s) * phi], (s - start) * phi
-            out[i:i + len(v)] = map(add, out[i:i + len(v)], map(mul, v, itertools.repeat(f)))
-        return PuiseuxSeries._new(math.lcm(self.conductor, other.conductor), basis, d,
-                                  trunc, start, out, den)
+        return _linear(((self,), (other,)))
 
     __radd__ = __add__
 
@@ -397,8 +376,7 @@ class PuiseuxSeries:
     def scale(self, factor) -> PuiseuxSeries:
         if not factor:
             return PuiseuxSeries.zero(self.trunc, self.denom, self.conductor)
-        conductor = math.lcm(self.conductor, getattr(factor, "conductor", 1))
-        return _reweighted(self, 1, self.denom, [factor], conductor)
+        return _linear(((factor, self),))
 
     def __mul__(self, other) -> PuiseuxSeries:
         if isinstance(other, (int, Fraction, CyclotomicNumber)):
@@ -478,24 +456,60 @@ def _reweighted(s: PuiseuxSeries, stretch: int, denom: int, factors,
                               s._start * stretch, out, s._den * fden)
 
 
-def _coefficient_of_products(e: int, pairs) -> CyclotomicNumber | None:
-    """The coefficient of q^e in the sum of a*b over pairs of series with
-    integral exponents (an int b stands for q^b), or None when it is zero;
-    no bound is checked."""
-    terms = [(a, b if isinstance(b, PuiseuxSeries) else PuiseuxSeries._new(1, 1, 1, b, b, [1], 1))
-             for a, b in pairs]
-    basis = math.lcm(*(s._basis for pair in terms for s in pair))
-    den = math.lcm(*(a._den * b._den for a, b in terms))
+def _linear(terms):
+    """The sum of the terms, each a tuple of exact numbers and series that
+    stands for their product; a term without a series is an exact constant,
+    which never lowers the bound.  The series of a term are multiplied out
+    and an irrational number is applied column by column; then every term
+    is scaled by an integer into one buffer on the common grid, basis and
+    denominator, canonicalized once.  A term whose numbers multiply to 0 is
+    dropped whole.  The bound is the lowest bound of the series terms;
+    with none, the sum of the constants is returned as a number."""
+    series, constants = [], []
+    for term in terms:
+        c, factors = None, []
+        for f in term:
+            if isinstance(f, PuiseuxSeries):
+                factors.append(f)
+            elif not isinstance(f, (int, Fraction, CyclotomicNumber)):
+                raise TypeError(f"cannot interpret {f!r} as a series")
+            elif c is None or type(c) is int and c == 1:
+                c = f
+            elif type(f) is not int or f != 1:
+                c = c * f
+        c, scalar = (1, (1, [1], 1)) if c is None else (c, _scalar(c))
+        if not any(scalar[1]):
+            continue
+        if not factors:
+            constants.append((scalar, c))
+            continue
+        s = functools.reduce(mul, factors)
+        if any(scalar[1][1:]):
+            s, scalar = _reweighted(s, 1, s.denom, [c], math.lcm(s.conductor, scalar[0])), \
+                        (1, [1], 1)
+        series.append((scalar, s))
+    if not series:
+        return sum((c for _, c in constants), 0)
+    d = basis = conductor = den = 1
+    for (b, _, cd), s in series:
+        d, den = math.lcm(d, s.denom), math.lcm(den, cd * s._den)
+        basis, conductor = math.lcm(basis, b, s._basis), math.lcm(conductor, b, s.conductor)
+    for (b, _, cd), _ in constants:
+        basis, conductor, den = math.lcm(basis, b), math.lcm(conductor, b), math.lcm(den, cd)
+    trunc = min(s.trunc * (d // s.denom) for _, s in series)
     phi = euler_phi(basis)
-    total = [0] * phi
-    for a, b in terms:
-        av, bv = _promote(a._vec, a._basis, basis), _promote(b._vec, b._basis, basis)
-        t = e - a._start - b._start
-        if 0 <= t < (len(av) + len(bv)) // phi - 1:
-            block = _product(av[:(t + 1) * phi], bv[:(t + 1) * phi], phi, basis, t + 1, t)
-            f = den // (a._den * b._den)
-            total = [x + f * y for x, y in zip(total, block[t * phi:])]
-    return _number(total, den, basis) if any(total) else None
+    # (vector on the common grid and basis, its start, integer factor)
+    blocks = [(*s._on(d, basis)[:2], v[0] * (den // (cd * s._den)))
+              for (_, v, cd), s in series if s._vec]
+    blocks += [(_promote(v, b, basis), 0, den // cd) for (b, v, cd), _ in constants]
+    start = min((s for _, s, _ in blocks), default=trunc)
+    stop = min(trunc + 1, max((s + len(v) // phi for v, s, _ in blocks), default=0))
+    out = [0] * max(0, stop - start) * phi
+    for vec, s, k in blocks:
+        vec, i = vec[:max(0, stop - s) * phi], (s - start) * phi
+        out[i:i + len(vec)] = map(add, out[i:i + len(vec)],
+                                  vec if k == 1 else map(mul, vec, itertools.repeat(k)))
+    return PuiseuxSeries._new(conductor, basis, d, trunc, start, out, den)
 
 
 # -- spec-facing functional spellings ----------------------------------------

@@ -1,13 +1,16 @@
 """Differential tests of the block bootstrap against the order-by-order
 solve it replaced, kept here as an oracle: one evaluation of F, F_x and F_y
 per coefficient, each coefficient pinned by the lowest exponent of its own
-linear form."""
+linear form.  The block end is checked against the per-monomial scan it
+replaced, one candidate end at a time."""
 
+import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from g0wb.corpus import eta_quotient_level2
+from g0wb.corpus import eta_quotient_level2, normalized_j
 from g0wb.errors import (
     BootstrapStalled,
     Inconsistent,
@@ -16,8 +19,14 @@ from g0wb.errors import (
 )
 from g0wb.exactnum import CyclotomicNumber
 from g0wb.goldens import GOLDEN_ORDER2
-from g0wb.hauptmodul import bootstrap_extend
-from g0wb.modeq import ModularPolynomial, build_modular_polynomial, psi, verify_modular_equation
+from g0wb.hauptmodul import _block_end, _solve_block, bootstrap_extend
+from g0wb.modeq import (
+    ModularPolynomial,
+    build_modular_polynomial,
+    psi,
+    required_truncation,
+    verify_modular_equation,
+)
 from g0wb.qseries import PuiseuxSeries, emit_qexp, substitute_coset
 
 
@@ -78,7 +87,15 @@ def perturbed(series, depth, exponent, delta=1):
     seed = series.truncate(depth)
     coeffs = dict(seed.coeffs)
     coeffs[exponent] = seed.coefficient(exponent) + delta
-    return PuiseuxSeries.make(coeffs, trunc=depth)
+    return PuiseuxSeries.make(coeffs, trunc=depth, conductor=seed.conductor)
+
+
+def twisted_j(n, depth):
+    """h_N = xi_N * J(tau + 1/N) = q^-1 + sum_k c_k(J) xi_N^(k+1) q^k, from
+    the corpus oracle for J."""
+    return PuiseuxSeries.make(
+        {k: c * CyclotomicNumber.root_of_unity(n, k + 1)
+         for k, c in normalized_j(depth).coeffs.items()}, trunc=depth, conductor=n)
 
 
 _R = CyclotomicNumber.from_rational
@@ -155,3 +172,97 @@ def test_monomial_fiction_at_order_three_fails_alike():
     mono3 = build_modular_polynomial(PuiseuxSeries.monomial(-1, trunc=64), 3)
     bare = PuiseuxSeries.monomial(-1, trunc=2)
     assert assert_same_outcome(bare, mono3, 3, 10) is Inconsistent
+
+
+# -- cyclotomic coefficients --------------------------------------------------
+
+@pytest.fixture(scope="module")
+def twisted_case():
+    """(h_N to the depth of its order-m build, that polynomial), cached."""
+    cache = {}
+
+    def get(n, m):
+        if (n, m) not in cache:
+            h = twisted_j(n, required_truncation(m))
+            cache[(n, m)] = h, build_modular_polynomial(h, m)
+        return cache[(n, m)]
+    return get
+
+
+@pytest.mark.parametrize("n,m", [(3, 4), (4, 5), (3, 7), (6, 7)])
+def test_cyclotomic_series_rebuilt_from_its_own_equation(twisted_case, n, m):
+    # for m = 1 (mod N), h_N satisfies its own non-twisted order-m equation
+    h, poly = twisted_case(n, m)
+    assert assert_same_outcome(h.truncate(3), poly, m, h.trunc) == emit_qexp(h, "x")
+
+
+def test_perturbed_cyclotomic_seed_fails_alike(twisted_case):
+    h, poly = twisted_case(3, 4)
+    seed = perturbed(h, 3, 2, CyclotomicNumber.root_of_unity(3))
+    assert assert_same_outcome(seed, poly, 4, h.trunc) is Inconsistent
+
+
+# -- the block end --------------------------------------------------------------
+
+def lowest_reach(monomials, m, k, degree):
+    """The per-monomial scan: lowest exponent reachable by the degree-
+    ``degree`` terms in unknowns at q^k and above, from pole orders."""
+    return min((-i - m * j + a * (k + 1) + (degree - a) * m * (k + 1)
+                for i, j in monomials for a in range(degree + 1)
+                if a <= i and degree - a <= j), default=math.inf)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(2, 7), st.lists(st.tuples(st.integers(0, 8), st.integers(0, 8)),
+                                   max_size=6, unique=True),
+       st.integers(-1, 60), st.integers(0, 80))
+def test_block_end_matches_the_scan(m, monomials, n, extra):
+    target = n + extra
+    floor = lowest_reach(monomials, m, n, 2)
+    top = n
+    while top < target and lowest_reach(monomials, m, top + 1, 1) < floor:
+        top += 1
+    assert _block_end(monomials, m, n, target) == (floor, top)
+
+
+# -- the block solve on non-integral data ----------------------------------------
+
+@st.composite
+def fractional_blocks(draw):
+    """G, F_x, F_y with fractional (and for N > 1 cyclotomic) coefficients:
+    F_x from q^-3 and F_y from q^-6, so from a_4 on the pivot of a_k is
+    k - 3, read off the leading term of F_x alone."""
+    n = draw(st.sampled_from([1, 3, 4]))
+
+    def number(nonzero=False):
+        value = CyclotomicNumber(n, [Fraction(draw(st.integers(-9, 9)), draw(st.integers(1, 6)))
+                                     for _ in range(len(CyclotomicNumber.root_of_unity(n).coeffs))])
+        return CyclotomicNumber.one() if nonzero and value.is_zero() else value
+
+    def series(lo, top, lead):
+        coeffs = {e: number() for e in range(lo, top + 1)}
+        coeffs[lo] = number(nonzero=True) if lead else coeffs[lo]
+        return PuiseuxSeries.make(coeffs, trunc=top, conductor=n)
+
+    first = draw(st.integers(4, 8))
+    value = series(first - 3, first + draw(st.integers(0, 12)), lead=False)
+    return first, value, series(-3, 40, lead=True), series(-6, 40, lead=True)
+
+
+@settings(max_examples=60, deadline=None)
+@given(fractional_blocks(), st.integers(0, 12))
+def test_block_solve_matches_forward_substitution(case, extra):
+    # each a_k solves its pivot equation, G + F_x delta + F_y delta(2 tau)
+    # = 0 at q^(k - 3), with every earlier a_k' in place
+    n, value, f_x, f_y = case
+    h0 = PuiseuxSeries.make({-1: 1}, trunc=n + extra, conductor=value.conductor)
+    solved = _solve_block(h0, n, 10**6, 2, value, f_x, f_y)
+    assert solved.trunc == min(h0.trunc, value.trunc + 3)
+    a = {}
+    for k in range(n, solved.trunc + 1):
+        p = k - 3
+        total = value.coefficient(p)
+        for j, c in a.items():
+            total = total + c * (f_x.coefficient(p - j) + f_y.coefficient(p - 2 * j))
+        a[k] = -(total / f_x.coefficient(-3))
+        assert solved.coefficient(k) == a[k], k

@@ -5,9 +5,11 @@ field of the substitution), expand the product one root at a time, and
 project each coefficient back to the declared field.
 
 Also: the Kronecker congruence F_p(X, Y) = (X^p - Y)(X - Y^p) mod p as an
-independent oracle for built polynomials, and the header bound on declared
-conductors."""
+independent oracle for built polynomials, the closed-form class weights
+against the sums of roots of unity they stand for, and the header bound on
+declared conductors."""
 
+import cmath
 import functools
 import math
 from fractions import Fraction
@@ -28,6 +30,7 @@ from g0wb.exactnum import MAX_CONDUCTOR, CyclotomicNumber, _power_table
 from g0wb.modeq import (
     ModularPolynomial,
     VerificationReport,
+    _class_weights,
     _coset_elementary,
     _project_coefficients,
     average_sum,
@@ -340,3 +343,13 @@ class TestConductorBound:
         assert main(["classify", "--series", str(path), "--orders", "2"]) == 3
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err.count("\n") == 1
+
+
+def test_class_weights_are_the_sums_of_roots_of_unity():
+    # summed in floating point: each sum is an integer of size at most d
+    for m in range(2, 61):
+        for d in sorted({d for d, _ in coset_set(m).pairs}):
+            ks = [k for e, k in coset_set(m).pairs if e == d]
+            for r in range(d):
+                total = sum(cmath.exp(2j * cmath.pi * k * r / d) for k in ks)
+                assert abs(total - _class_weights(m, d)[r]) < 1e-9, (m, d, r)

@@ -252,3 +252,42 @@ class TestErrors:
         monkeypatch.setenv("G0WB_DATA", str(tmp_path))
         code, out, _ = run(capsys, "eval", "--series", "mine.qexp", "--tau", "0,1")
         assert code == 0
+
+
+class TestUnboundedInputs:
+    """Inputs that once hung or wrote an unreadable file: each is refused
+    with one usage-error line before any work."""
+
+    @pytest.mark.parametrize("argv", [
+        ("classify", "--series", "data/j.qexp", "--orders",
+         "2,1000000000000000000000000000057"),
+        ("modpoly", "--series", "data/j.qexp", "--order", "101"),
+        ("bootstrap", "--series", "data/j.qexp", "--modpoly", "f.mpoly",
+         "--order", "1000000000000000000000000000057", "--target", "10"),
+    ])
+    def test_order_above_the_cap(self, capsys, tmp_path, argv):
+        (tmp_path / "f.mpoly").write_text(emit_mpoly(GOLDEN_ORDER2), encoding="utf-8")
+        argv = [str(tmp_path / a) if a == "f.mpoly" else a for a in argv]
+        start = time.perf_counter()
+        code, out, err = run(capsys, *argv)
+        assert time.perf_counter() - start < 2.0
+        assert (code, out) == (2, "")
+        assert err.startswith("usage error: ") and err.count("\n") == 1
+        assert "largest supported order 100" in err
+
+    @pytest.mark.parametrize("prime", ["1000003", "1009"])
+    def test_prime_past_the_conductor_cap(self, capsys, prime):
+        start = time.perf_counter()
+        code, out, err = run(capsys, "avg", "--series", "data/j.qexp", "--prime", prime)
+        assert time.perf_counter() - start < 2.0
+        assert (code, out) == (2, "")
+        assert err.startswith("usage error: ") and err.count("\n") == 1
+        assert "> 1000" in err
+
+    def test_largest_prime_below_the_cap_round_trips(self, capsys, tmp_path):
+        code, out, _ = run(capsys, "avg", "--series", "data/j.qexp", "--prime", "997")
+        assert code == 0
+        path = tmp_path / "avg.qexp"
+        path.write_text(out.split("---\n")[0], encoding="utf-8")
+        series, _ = parse_qexp(path.read_text(encoding="utf-8"))
+        assert series.conductor == 997

@@ -5,8 +5,17 @@ of ``CyclotomicNumber.__mul__`` (copied below), and canonical form is
 re-derived from the mapping exactly as the old constructor did.
 
 Each result must equal the oracle in coefficients, ``lo``, ``trunc``,
-``denom`` and the declared ``conductor``."""
+``denom`` and the declared ``conductor``.
 
+The linear-combination kernel is checked the same way, directly and
+through its three users with the most structure: ``ModularPolynomial.
+evaluate`` (Horner in y over the powers of x), and Newton's identities and
+the class product of ``_coset_elementary``.  Their oracles repeat the
+algorithm's steps on the dict representation, each sum formed in one pass
+and canonicalized once; ``CyclotomicNumber.__mul__`` is checked against
+the schoolbook loop."""
+
+import collections
 import math
 import sys
 import threading
@@ -19,9 +28,11 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from g0wb.cli import main
 from g0wb.errors import ParseError
 from g0wb.exactnum import CyclotomicNumber, _power_table, euler_phi
+from g0wb.modeq import ModularPolynomial, _coset_elementary, coset_set
 from g0wb.qseries import (
     PuiseuxSeries,
     compare_to_order,
+    _linear,
     emit_qexp,
     parse_qexp,
     substitute_coset,
@@ -150,6 +161,97 @@ def o_compare(a, b, order):
         if ca != cb:
             return (False, Fraction(n, d), ca, cb)
     return (True, None, None, None)
+
+
+def o_constant_sum(constants):
+    total = ZERO
+    for c in constants:
+        total = total + c
+    return total
+
+
+def o_linear(terms):
+    """sum c * s_1 * ... * s_r over oracle terms (c, s_1, ..., s_r); a term
+    without series is the exact constant c and never lowers the bound, a
+    term with c = 0 is dropped, and without a series term the result is
+    the number sum of the constants."""
+    series, constants = [], []
+    for c, *factors in terms:
+        if c.is_zero():
+            continue
+        if factors:
+            product = factors[0]
+            for f in factors[1:]:
+                product = o_mul(product, f)
+            series.append(o_scale(product, c))
+        else:
+            constants.append(c)
+    if not series:
+        return o_constant_sum(constants)
+    d = math.lcm(*(t[1] for t in series))
+    trunc = min(t[3] * (d // t[1]) for t in series)
+    out = {}
+    for t in series:
+        for n, c in scaled(t, d)[0].items():
+            if n <= trunc:
+                out[n] = out[n] + c if n in out else c
+    if constants and trunc >= 0:
+        c = o_constant_sum(constants)
+        out[0] = out[0] + c if 0 in out else c
+    conductor = math.lcm(*(t[0] for t in series), *(c.conductor for c in constants))
+    return canon(conductor, d, trunc, trunc, out)
+
+
+def o_is_series(value):
+    return isinstance(value, tuple)
+
+
+def o_evaluate(poly, x, y):
+    """F(x, y) by Horner in y over the powers x, x*x, (x*x)*x, ... of x; a
+    constant result is determined as far as x."""
+    powers = [None, x]
+    while len(powers) <= poly.degx:
+        powers.append(o_mul(powers[-1], x))
+    result = ZERO
+    for slice_map in reversed(poly.y_slices()):
+        terms = [(CyclotomicNumber.one(), result, y) if o_is_series(result) else (result, y)]
+        terms += [(c, powers[i]) if i else (c,) for i, c in slice_map.items()]
+        result = o_linear(terms)
+    if o_is_series(result):
+        return result
+    return o_linear([(CyclotomicNumber.one(), o_scale(x, ZERO)), (result,)])
+
+
+def o_class_power_sum(a, m, d):
+    """q^n -> w_d(n) q^(n*m/d^2), w_d(n) the sum of xi_d^(k*n) over the
+    offsets k paired with d in the coset set."""
+    ks = [k for e, k in coset_set(m).pairs if e == d]
+    g = math.gcd(d * d, m)
+    out = {}
+    for n, c in a[4].items():
+        w = o_constant_sum(CyclotomicNumber.root_of_unity(d, k * n) for k in ks)
+        out[n * (m // g)] = oracle_cyc_mul(c, w)
+    return canon(a[0], d * d // g, a[2] * (m // g), a[3] * (m // g), out)
+
+
+def o_elementary(h, m):
+    """e_1..e_psi(m) by Newton's identities per class and the product of
+    the class polynomials; e_0 = 1 is exact (no factor)."""
+    sizes = collections.Counter(d for d, _ in coset_set(m).pairs)
+    powers = [None, h]
+    while len(powers) <= max(sizes.values()):
+        powers.append(o_mul(powers[-1], h))
+    total = [()]
+    for d, size in sorted(sizes.items()):
+        sums = [o_class_power_sum(powers[j], m, d) for j in range(1, size + 1)]
+        es = [()]
+        for k in range(1, size + 1):
+            es.append((o_linear([(CyclotomicNumber.from_rational(Fraction((-1) ** (i - 1), k)),
+                                  *es[k - i], sums[i - 1]) for i in range(1, k + 1)]),))
+        total = [()] + [(o_linear([(CyclotomicNumber.one(), *total[a], *es[j - a])
+                                   for a in range(max(0, j - size), min(j, len(total) - 1) + 1)]),)
+                        for j in range(1, len(total) + size)]
+    return [e for e, in total[1:]]
 
 
 def o_emit(a, label):
@@ -295,6 +397,92 @@ class TestAgainstDictOracle:
         assert label == "t" and back == a
         assert_matches(back, oa)
         assert emit_qexp(back, "t") == text
+
+
+KERNEL_CONDUCTORS = [1, 3, 4, 12, 24]
+
+
+def assert_value_matches(got, want):
+    """A series against its oracle tuple, or an exact number against the
+    oracle's number (value and conductor)."""
+    if o_is_series(want):
+        assert_matches(got, want)
+    else:
+        assert not isinstance(got, PuiseuxSeries)
+        assert got == want
+        assert getattr(got, "conductor", 1) == want.conductor
+
+
+@st.composite
+def kernel_terms(draw):
+    """Up to five terms (c, s_1, ..., s_r), r = 0..2, over one or several
+    of the kernel conductors, with their oracle twins; the kernel's terms
+    sometimes carry an extra exact factor 1, as a power ladder's x^0 does."""
+    fields = draw(st.lists(st.sampled_from(KERNEL_CONDUCTORS), min_size=1, max_size=2))
+    terms, oracles = [], []
+    for _ in range(draw(st.integers(0, 5))):
+        c = draw(numbers(draw(st.sampled_from(fields))))
+        factors = [draw(series(conductor=draw(st.sampled_from(fields)), max_terms=4))
+                   for _ in range(draw(st.integers(0, 2)))]
+        one = (1,) if draw(st.booleans()) else ()
+        terms.append((c, *(s for s, _ in factors), *one))
+        oracles.append((c, *(o for _, o in factors)))
+    return terms, oracles
+
+
+@st.composite
+def polynomials(draw, conductor):
+    degx, degy = draw(st.integers(0, 3)), draw(st.integers(0, 3))
+    coeffs = {}
+    for key in draw(st.lists(st.tuples(st.integers(0, degx), st.integers(0, degy)),
+                             max_size=6, unique=True)):
+        c = draw(numbers(conductor))
+        if not c.is_zero():
+            coeffs[key] = c
+    return ModularPolynomial(2, conductor, coeffs, degx, degy)
+
+
+def integral(case):
+    """The series of a strategy case moved onto the integral grid."""
+    a, _ = case
+    b = PuiseuxSeries(a.conductor, 1, a.lo, a.trunc, dict(a.coeffs))
+    return b, canon(b.conductor, 1, b.lo, b.trunc, dict(b.coeffs))
+
+
+class TestLinearKernelAgainstDictOracle:
+    @battery
+    @given(kernel_terms())
+    def test_linear(self, case):
+        terms, oracles = case
+        assert_value_matches(_linear(terms), o_linear(oracles))
+
+    @battery
+    @given(st.sampled_from(KERNEL_CONDUCTORS).flatmap(
+        lambda n: st.tuples(polynomials(n), series(conductor=n), series(conductor=n))))
+    def test_evaluate_and_its_partial_derivatives(self, case):
+        poly, (x, ox), (y, oy) = case
+        for f in (poly, poly.derivative("x"), poly.derivative("y")):
+            assert_matches(f.evaluate(x, y), o_evaluate(f, ox, oy))
+
+    @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(st.sampled_from(KERNEL_CONDUCTORS).flatmap(
+        lambda n: series(conductor=n, max_terms=4)), st.sampled_from([2, 3, 4]))
+    def test_coset_elementary(self, case, m):
+        h, oh = integral(case)
+        got = _coset_elementary(h, m)
+        want = o_elementary(oh, m)
+        assert len(got) == len(want) + 1
+        for e, o in zip(got[1:], want):
+            assert_matches(e, o)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.sampled_from(CONDUCTORS + [24]), min_size=2, max_size=2).flatmap(
+    lambda ns: st.tuples(numbers(ns[0]), numbers(ns[1]))))
+def test_cyclotomic_product_matches_the_schoolbook_loop(ab):
+    a, b = ab
+    got, want = a * b, oracle_cyc_mul(a, b)
+    assert (got.conductor, got.coeffs) == (want.conductor, want.coeffs)
 
 
 class TestExactConstants:
