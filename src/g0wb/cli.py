@@ -116,6 +116,16 @@ def _emit(body: str, machine: list[tuple[str, str]]) -> None:
     sys.stdout.write(f"{body}\n---\n{pairs}\n" if body else f"---\n{pairs}\n")
 
 
+def _emit_value(name: str, result, terms: bool = False) -> None:
+    """The value report of eval, eta and eisenstein; ``terms`` adds the
+    number of terms summed."""
+    count = f", {result.terms_used} terms" if terms else ""
+    _emit(f"{name} = {_fmt_complex(result.value)}  (tail {result.tail_estimate:.3e}{count})",
+          [("value_re", f"{result.value.real:.16g}"), ("value_im", f"{result.value.imag:.16g}"),
+           ("tail", f"{result.tail_estimate:.6e}")]
+          + ([("terms", str(result.terms_used))] if terms else []))
+
+
 def _write_or_print(text: str, out: str | None) -> None:
     if out is None:
         sys.stdout.write(text)
@@ -212,25 +222,14 @@ def _cmd_member(args) -> int:
 def _cmd_eval(args) -> int:
     series, label, _ = _load_series(args.series)
     tau = _parse_tau(args.tau)
-    result = eval_series(series, tau)
-    _emit(f"{label}({args.tau}) = {_fmt_complex(result.value)}"
-          f"  (tail {result.tail_estimate:.3e}, {result.terms_used} terms)",
-          [("value_re", f"{result.value.real:.16g}"),
-           ("value_im", f"{result.value.imag:.16g}"),
-           ("tail", f"{result.tail_estimate:.6e}"),
-           ("terms", str(result.terms_used))])
+    _emit_value(f"{label}({args.tau})", eval_series(series, tau), terms=True)
     return EXIT_OK
 
 
 def _cmd_eta(args) -> int:
     tau = _parse_tau(args.tau)
     if not args.law:
-        result = eta_eval(tau, args.terms)
-        _emit(f"eta({args.tau}) = {_fmt_complex(result.value)}"
-              f"  (tail {result.tail_estimate:.3e})",
-              [("value_re", f"{result.value.real:.16g}"),
-               ("value_im", f"{result.value.imag:.16g}"),
-               ("tail", f"{result.tail_estimate:.6e}")])
+        _emit_value(f"eta({args.tau})", eta_eval(tau, args.terms))
         return EXIT_OK
     if args.matrix is None:
         raise ParseError("--law needs --matrix a,b,c,d")
@@ -250,12 +249,7 @@ def _cmd_eta(args) -> int:
 def _cmd_eisenstein(args) -> int:
     tau = _parse_tau(args.tau)
     if not args.law:
-        result = eisenstein_eval(args.k, tau, args.radius)
-        _emit(f"E{args.k}({args.tau}) = {_fmt_complex(result.value)}"
-              f"  (tail {result.tail_estimate:.3e})",
-              [("value_re", f"{result.value.real:.16g}"),
-               ("value_im", f"{result.value.imag:.16g}"),
-               ("tail", f"{result.tail_estimate:.6e}")])
+        _emit_value(f"E{args.k}({args.tau})", eisenstein_eval(args.k, tau, args.radius))
         return EXIT_OK
     if args.matrix is None:
         raise ParseError("--law needs --matrix a,b,c,d")

@@ -45,11 +45,14 @@ class NotInvariant(G0wbError):
 
 class ExpressFailure(G0wbError):
     """Pole-killing left a nonzero residual: the series is not a polynomial
-    in the generator.  ``residual`` is the irreducible remainder series."""
+    in the generator.  ``residual`` is the irreducible remainder series;
+    ``exponent`` and ``coefficient`` are its first term, as for NotInvariant."""
 
     def __init__(self, message: str, residual=None):
         super().__init__(message)
         self.residual = residual
+        self.exponent = None if residual is None else residual.min_nonzero_exponent()
+        self.coefficient = None if self.exponent is None else residual.coefficient(self.exponent)
 
 
 class InsufficientSeed(G0wbError):

@@ -333,25 +333,16 @@ class CyclotomicNumber:
         return _square_and_multiply(base, abs(exponent), CyclotomicNumber.one(), mul)
 
     def in_subfield(self, n: int) -> bool:
-        """True when the value lies in Q[xi_n].
-
-        Decided by Galois fixedness: promote into the compositum and check
-        invariance under every automorphism fixing Q[xi_n].
-        """
-        if n % self.conductor == 0:
-            return True
-        if n == 1:
-            return self.is_rational()
-        compositum = math.lcm(self.conductor, n)
-        lifted = self.promote(compositum)
-        for t in range(2, compositum + 1):
-            if t % n == 1 and math.gcd(t, compositum) == 1:
-                if lifted.galois(t) != lifted:
-                    return False
+        """True when the value lies in Q[xi_n]: when ``demote(n)`` succeeds."""
+        try:
+            self.demote(n)
+        except ValueError:
+            return False
         return True
 
     def demote(self, n: int) -> CyclotomicNumber:
-        """Rewrite on the conductor-n power basis.
+        """Rewrite on the conductor-n power basis, by one exact solve in the
+        compositum.
 
         Requires the value to lie in Q[xi_n]; raises ValueError otherwise.
         """

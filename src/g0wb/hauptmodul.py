@@ -119,18 +119,9 @@ def _test_order(h: PuiseuxSeries, m: int, notes: list[str]) -> VerificationRepor
     except InsufficientTruncation as exc:
         notes.append(f"order {m}: need input determined through q^{exc.required}")
         return VerificationReport(m, h.trunc_exponent(), "insufficient-data")
-    except NotInvariant as exc:
+    except (NotInvariant, ExpressFailure) as exc:
         e = exc.exponent if exc.exponent is not None else Fraction(0)
         c = exc.coefficient if exc.coefficient is not None else CyclotomicNumber.zero()
-        notes.append(f"order {m}: {exc}")
-        return VerificationReport(
-            m, h.trunc_exponent(), "inconsistent",
-            first_failure=(Fraction(e), CyclotomicNumber.zero(), c))
-    except ExpressFailure as exc:
-        residual = exc.residual
-        e = residual.min_nonzero_exponent() if residual is not None else Fraction(0)
-        c = (residual.coefficient(e) if residual is not None and e is not None
-             else CyclotomicNumber.zero())
         notes.append(f"order {m}: {exc}")
         return VerificationReport(
             m, h.trunc_exponent(), "inconsistent",
@@ -156,7 +147,8 @@ def bootstrap_extend(h_prefix: PuiseuxSeries, poly: ModularPolynomial, m: int,
     solve.  Every determined coefficient of G below a block's first pivot
     must vanish, else no extension exists; this also re-checks everything
     the previous block solved.  The result is re-verified against the
-    polynomial in full before being returned.
+    polynomial in full before being returned; a target too shallow for
+    that check raises InsufficientTruncation.
     """
     if not h_prefix.is_moonshine_shape():
         raise ShapeError("bootstrap needs a q^-1 + O(q) seed")
@@ -177,6 +169,10 @@ def bootstrap_extend(h_prefix: PuiseuxSeries, poly: ModularPolynomial, m: int,
         result = _solve_block(h0, n, floor, m, poly.evaluate(h0, y0),
                               d_dx.evaluate(h0, y0), d_dy.evaluate(h0, y0))
     report = verify_modular_equation(result, poly, m)
+    if report.status == "insufficient-data":
+        raise InsufficientTruncation(
+            f"extended series reaches q^{result.trunc} but re-verifies only through "
+            f"q^{report.verified_to}; ask for a deeper target")
     if report.status != "consistent":
         raise Inconsistent(
             f"extended series fails re-verification: {report.status} "

@@ -192,13 +192,6 @@ class UnivariatePoly:
             result = _linear([(result, x), (c,)])
         return result if isinstance(result, PuiseuxSeries) else x.scale(0) + result
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, UnivariatePoly):
-            return NotImplemented
-        if len(self.coeffs) != len(other.coeffs):
-            return False
-        return all(a == b for a, b in zip(self.coeffs, other.coeffs))
-
     __hash__ = None
 
     def __str__(self) -> str:
@@ -402,11 +395,12 @@ def _project_coefficients(series: PuiseuxSeries, field: int, which: int) -> Puis
             series._vec, series._den)
     out: dict[int, Coeff] = {}
     for n, c in series.nonzero_items():
-        if not c.in_subfield(field):
+        try:
+            out[n] = c.demote(field)
+        except ValueError:
             raise NotInvariant(
                 f"coefficient of q^{n} in e_{which} leaves Q[xi_{field}]: {c}",
-                exponent=Fraction(n, series.denom), coefficient=c)
-        out[n] = c.demote(field)
+                exponent=Fraction(n, series.denom), coefficient=c) from None
     return PuiseuxSeries(field, series.denom, series.lo, series.trunc, out)
 
 
@@ -460,16 +454,8 @@ def verify_modular_equation(h: PuiseuxSeries, poly: ModularPolynomial, m: int,
 
 def symmetry_check(poly: ModularPolynomial, generalised: bool = False) -> bool:
     """F(x, y) == F(y, x), or its sigma_m twist in the generalised case."""
-    keys = set(poly.coeffs)
-    keys |= {(j, i) for i, j in keys}
-    for i, j in keys:
-        left = poly.coefficient(i, j)
-        right = poly.coefficient(j, i)
-        if generalised:
-            right = right.galois(poly.m)
-        if left != right:
-            return False
-    return True
+    swapped = poly.transpose()
+    return poly == (swapped.apply_galois(poly.m) if generalised else swapped)
 
 
 # -- mpoly v1 text format -----------------------------------------------------

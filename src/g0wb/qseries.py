@@ -292,13 +292,6 @@ class PuiseuxSeries:
             vec = fine
         return vec, self._start * f, self.trunc * f
 
-    def _scaled(self, denom: int) -> tuple[dict[int, Coeff], int, int]:
-        """Coefficients, lo and trunc renumbered onto a finer grid."""
-        if denom % self.denom != 0:
-            raise ValueError(f"cannot refine grid 1/{self.denom} to 1/{denom}")
-        f = denom // self.denom
-        return {n * f: c for n, c in self.coeffs.items()}, self.lo * f, self.trunc * f
-
     def _padded(self, trunc: int) -> PuiseuxSeries:
         """The same terms declared determined through ``trunc``: every
         coefficient above the current bound is asserted to be zero."""

@@ -129,32 +129,18 @@ def render(obj, footnotes: tuple[str, ...] = ()) -> RenderedReport:
     """Render a report-like object; extra provenance strings become
     footnotes."""
     if isinstance(obj, VerificationReport):
-        return RenderedReport(
-            sections=((f"order-{obj.order} modular equation", _verification_body(obj)),),
-            footnotes=tuple(footnotes),
-            machine=tuple(_verification_machine(obj)),
-        )
-    if isinstance(obj, Classification):
-        return RenderedReport(
-            sections=tuple(_classification_sections(obj)),
-            footnotes=tuple(footnotes),
-            machine=tuple(_classification_machine(obj)),
-        )
-    if isinstance(obj, KappaSelection):
-        machine = _panel_machine(obj.panel)
+        sections = [(f"order-{obj.order} modular equation", _verification_body(obj))]
+        machine = _verification_machine(obj)
+    elif isinstance(obj, Classification):
+        sections, machine = _classification_sections(obj), _classification_machine(obj)
+    elif isinstance(obj, KappaSelection):
+        sections, machine = _panel_sections(obj.panel), _panel_machine(obj.panel)
         machine.append(("winner", str(obj.winner) if obj.winner is not None else "none"))
-        return RenderedReport(
-            sections=tuple(_panel_sections(obj.panel)),
-            footnotes=tuple(footnotes),
-            machine=tuple(machine),
-        )
-    if isinstance(obj, ResidualPanel):
-        return RenderedReport(
-            sections=tuple(_panel_sections(obj)),
-            footnotes=tuple(footnotes),
-            machine=tuple(_panel_machine(obj)),
-        )
-    raise TypeError(f"cannot render {type(obj).__name__}")
+    elif isinstance(obj, ResidualPanel):
+        sections, machine = _panel_sections(obj), _panel_machine(obj)
+    else:
+        raise TypeError(f"cannot render {type(obj).__name__}")
+    return RenderedReport(tuple(sections), tuple(footnotes), tuple(machine))
 
 
 def provenance_footnotes(entry) -> tuple[str, ...]:

@@ -10,11 +10,13 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from g0wb.cli import main
 from g0wb.corpus import eta_quotient_level2, normalized_j
 from g0wb.errors import (
     BootstrapStalled,
     Inconsistent,
     InsufficientSeed,
+    InsufficientTruncation,
     ShapeError,
 )
 from g0wb.exactnum import CyclotomicNumber
@@ -23,6 +25,7 @@ from g0wb.hauptmodul import _block_end, _solve_block, bootstrap_extend
 from g0wb.modeq import (
     ModularPolynomial,
     build_modular_polynomial,
+    emit_mpoly,
     psi,
     required_truncation,
     verify_modular_equation,
@@ -64,7 +67,10 @@ def per_coefficient_bootstrap(h_prefix, poly, m, target):
         if not a_n.is_zero():
             known[n] = a_n
     result = PuiseuxSeries.make(known, trunc=target, conductor=h_prefix.conductor)
-    if verify_modular_equation(result, poly, m).status != "consistent":
+    status = verify_modular_equation(result, poly, m).status
+    if status == "insufficient-data":
+        raise InsufficientTruncation("extended series too shallow to re-verify")
+    if status != "consistent":
         raise Inconsistent("extended series fails re-verification")
     return result
 
@@ -73,7 +79,7 @@ def outcome(solver, seed, poly, m, target):
     """The emitted series, or the class of the exception raised."""
     try:
         return emit_qexp(solver(seed, poly, m, target), "x")
-    except (BootstrapStalled, Inconsistent, InsufficientSeed) as exc:
+    except (BootstrapStalled, Inconsistent, InsufficientSeed, InsufficientTruncation) as exc:
         return type(exc)
 
 
@@ -169,9 +175,13 @@ def test_monomial_fiction_behaves_alike(monomial_poly2, corpus_j, depth):
 
 
 def test_monomial_fiction_at_order_three_fails_alike():
+    # both solvers extend q^-1 correctly; to q^10 the order-3 equation
+    # cannot be re-verified (a depth error), to q^12 it can
     mono3 = build_modular_polynomial(PuiseuxSeries.monomial(-1, trunc=64), 3)
     bare = PuiseuxSeries.monomial(-1, trunc=2)
-    assert assert_same_outcome(bare, mono3, 3, 10) is Inconsistent
+    assert assert_same_outcome(bare, mono3, 3, 10) is InsufficientTruncation
+    assert assert_same_outcome(bare, mono3, 3, 12) == \
+        emit_qexp(PuiseuxSeries.monomial(-1, trunc=12), "x")
 
 
 # -- cyclotomic coefficients --------------------------------------------------
@@ -200,6 +210,34 @@ def test_perturbed_cyclotomic_seed_fails_alike(twisted_case):
     h, poly = twisted_case(3, 4)
     seed = perturbed(h, 3, 2, CyclotomicNumber.root_of_unity(3))
     assert assert_same_outcome(seed, poly, 4, h.trunc) is Inconsistent
+
+
+def test_target_too_shallow_to_reverify_is_a_depth_error(twisted_case):
+    # every coefficient through q^20 is solved correctly, but the order-4
+    # equation cannot be re-verified from a series that shallow
+    h, poly = twisted_case(3, 4)
+    with pytest.raises(InsufficientTruncation, match=r"reaches q\^20 .* through q\^-1"):
+        bootstrap_extend(h.truncate(3), poly, 4, 20)
+    assert assert_same_outcome(h.truncate(3), poly, 4, 20) is InsufficientTruncation
+
+
+@pytest.mark.parametrize("target", [30, 37, 38])
+def test_deep_enough_target_rebuilds_the_twisted_series(twisted_case, target):
+    h, poly = twisted_case(3, 4)
+    assert bootstrap_extend(h.truncate(3), poly, 4, target) == h.truncate(target)
+
+
+def test_cli_target_too_shallow_to_reverify_exits_three(twisted_case, tmp_path, capsys):
+    h, poly = twisted_case(3, 4)
+    (tmp_path / "h3.qexp").write_text(emit_qexp(h.truncate(3), "h3"))
+    (tmp_path / "h3.mpoly").write_text(emit_mpoly(poly))
+    argv = ["bootstrap", "--series", str(tmp_path / "h3.qexp"),
+            "--modpoly", str(tmp_path / "h3.mpoly"), "--order", "4", "--target"]
+    assert main(argv + ["20"]) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("\n") == 1 and err.startswith("error: ")
+    assert main(argv + ["30"]) == 0
+    assert capsys.readouterr().out == emit_qexp(h.truncate(30), "h3")
 
 
 # -- the block end --------------------------------------------------------------

@@ -125,8 +125,8 @@ def oracle_verify(h, poly, m, generalised=False):
         if bound < 0:
             return VerificationReport(m, bound, "insufficient-data")
         denom = math.lcm(lhs.denom, rhs.denom)
-        la, _, _ = lhs._scaled(denom)
-        rb, _, _ = rhs._scaled(denom)
+        la = {n * (denom // lhs.denom): c for n, c in lhs.coeffs.items()}
+        rb = {n * (denom // rhs.denom): c for n, c in rhs.coeffs.items()}
         top = math.floor(bound * denom)
         for n in sorted(set(la) | set(rb)):
             if n > top:
