@@ -139,8 +139,7 @@ def _write_or_print(text: str, out: str | None) -> None:
 def _cmd_modpoly(args) -> int:
     series, label, _ = _load_series(args.series)
     poly = build_modular_polynomial(series, args.order,
-                                    generalised=args.generalised,
-                                    conductor=args.conductor)
+                                    generalised=args.generalised)
     text = emit_mpoly(poly)
     _write_or_print(text, args.out)
     if args.out is not None:
@@ -333,8 +332,7 @@ _FLAG = {"action": "store_true"}
 # subcommand, help, handler, and its arguments in the order they are added
 _COMMANDS = (
     ("modpoly", "build the order-m modular polynomial of a series", _cmd_modpoly,
-     [("--series", _REQUIRED), ("--order", _INT), ("--out", {}), ("--generalised", _FLAG),
-      ("--conductor", {"type": int, "default": None})]),
+     [("--series", _REQUIRED), ("--order", _INT), ("--out", {}), ("--generalised", _FLAG)]),
     ("verify", "check a series against a modular polynomial", _cmd_verify,
      [("--series", _REQUIRED), ("--modpoly", _REQUIRED), ("--order", _INT),
       ("--generalised", _FLAG)]),

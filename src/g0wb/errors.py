@@ -32,8 +32,7 @@ class InsufficientTruncation(G0wbError):
 
 
 class NotInvariant(G0wbError):
-    """A coset-symmetric combination has a coefficient outside the declared
-    field, or the built polynomial has the wrong degree; the input does not
+    """The built polynomial has the wrong x-degree; the input does not
     satisfy the modular equation being constructed.  ``exponent`` and
     ``coefficient`` locate the offending term when known."""
 

@@ -332,39 +332,6 @@ class CyclotomicNumber:
         base = self if exponent >= 0 else self.inverse()
         return _square_and_multiply(base, abs(exponent), CyclotomicNumber.one(), mul)
 
-    def in_subfield(self, n: int) -> bool:
-        """True when the value lies in Q[xi_n]: when ``demote(n)`` succeeds."""
-        try:
-            self.demote(n)
-        except ValueError:
-            return False
-        return True
-
-    def demote(self, n: int) -> CyclotomicNumber:
-        """Rewrite on the conductor-n power basis, by one exact solve in the
-        compositum.
-
-        Requires the value to lie in Q[xi_n]; raises ValueError otherwise.
-        """
-        if n == self.conductor:
-            return self
-        if n % self.conductor == 0:
-            return self.promote(n)
-        if n == 1:
-            return CyclotomicNumber(1, (self.rational_value(),))
-        compositum = math.lcm(self.conductor, n)
-        lifted = self.promote(compositum)
-        # solve sum_i r_i * xi_compositum^(i * compositum/n) = value over Q
-        table = _power_table(compositum)
-        step = compositum // n
-        columns = [table[(i * step) % compositum] for i in range(euler_phi(n))]
-        rows = [[Fraction(col[j]) for col in columns] for j in range(euler_phi(compositum))]
-        rhs = list(lifted.coeffs)
-        solution = _solve_exact(rows, rhs)
-        if solution is None:
-            raise ValueError(f"{self} does not lie in Q[xi_{n}]")
-        return CyclotomicNumber(n, solution)
-
     # -- Galois action -----------------------------------------------------
 
     def galois(self, m: int) -> CyclotomicNumber:
@@ -438,40 +405,6 @@ def _half_ext_gcd(a, modulus):
         qs = _convolve(q, s1, len(q) + len(s1) - 1) if q and s1 else []
         s0, s1 = s1, trim(map(sub, s0 + [0] * (len(qs) - len(s0)), qs + [0] * (len(s0) - len(qs))))
     return r0, s0
-
-
-def _solve_exact(rows: list[list[Fraction]], rhs: list[Fraction]):
-    """Solve an overdetermined rational linear system by elimination.
-
-    Returns the unique solution as a list, or None when inconsistent.
-    """
-    height = len(rows)
-    width = len(rows[0]) if rows else 0
-    aug = [list(rows[i]) + [Fraction(rhs[i])] for i in range(height)]
-    pivot_cols: list[int] = []
-    r = 0
-    for col in range(width):
-        pivot = next((i for i in range(r, height) if aug[i][col] != 0), None)
-        if pivot is None:
-            continue
-        aug[r], aug[pivot] = aug[pivot], aug[r]
-        scale = aug[r][col]
-        aug[r] = [x / scale for x in aug[r]]
-        for i in range(height):
-            if i != r and aug[i][col] != 0:
-                factor = aug[i][col]
-                aug[i] = [x - factor * y for x, y in zip(aug[i], aug[r])]
-        pivot_cols.append(col)
-        r += 1
-        if r == height:
-            break
-    for i in range(r, height):
-        if aug[i][width] != 0:
-            return None
-    solution = [Fraction(0)] * width
-    for row_idx, col in enumerate(pivot_cols):
-        solution[col] = aug[row_idx][width]
-    return solution
 
 
 # -- literals ---------------------------------------------------------------

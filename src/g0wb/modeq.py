@@ -341,20 +341,20 @@ def required_truncation(m: int) -> int:
     return psi(m) * m + psi(m) + 8
 
 
-def build_modular_polynomial(h: PuiseuxSeries, m: int, generalised: bool = False,
-                             conductor: int | None = None) -> ModularPolynomial:
+def build_modular_polynomial(h: PuiseuxSeries, m: int,
+                             generalised: bool = False) -> ModularPolynomial:
     """Construct the order-m modular polynomial satisfied by h, or fail.
 
     The Y-coefficients of prod_{(d,k)} (h(m*tau/d^2 + k/d) - Y) come from
-    class power sums in the field of h; each must lie in the declared field
-    and be expressible as a polynomial in h (in sigma_m(h) for the
-    Galois-twisted variant).
+    class power sums, so they stay in Q[xi_N] for N = h.conductor; each must
+    be expressible as a polynomial in h (in sigma_m(h) for the
+    Galois-twisted variant).  The result is declared over Q[xi_N]: to write
+    it over a larger cyclotomic field, declare h over that field.
     """
     if not h.is_moonshine_shape():
         raise ShapeError("modular polynomial construction needs q^-1 + O(q) input")
-    field = conductor if conductor is not None else h.conductor
-    if generalised and math.gcd(m, field) != 1:
-        raise ValueError(f"twisted construction needs gcd(m, {field}) = 1")
+    if generalised and math.gcd(m, h.conductor) != 1:
+        raise ValueError(f"twisted construction needs gcd(m, {h.conductor}) = 1")
     check_order(m)
     need = required_truncation(m)
     if h.trunc < need:
@@ -368,7 +368,6 @@ def build_modular_polynomial(h: PuiseuxSeries, m: int, generalised: bool = False
     generator = h if not generalised else h.map_coefficients(lambda c: c.galois(m))
     slices: dict[tuple[int, int], Coeff] = {}
     for j, e_j in enumerate(elementary):
-        e_j = _project_coefficients(e_j, field, j)
         try:
             poly = express_in_generator(e_j, generator)
         except ExpressFailure as exc:
@@ -381,27 +380,10 @@ def build_modular_polynomial(h: PuiseuxSeries, m: int, generalised: bool = False
             if c.is_zero():
                 continue
             slices[(i, degree - j)] = c * sign
-    built = ModularPolynomial(m, field, slices, degree, degree)
+    built = ModularPolynomial(m, h.conductor, slices, degree, degree)
     if max((i for i, _ in slices), default=0) != degree:
         raise NotInvariant(f"built polynomial has x-degree != psi({m})")
     return built
-
-
-def _project_coefficients(series: PuiseuxSeries, field: int, which: int) -> PuiseuxSeries:
-    """Check every coefficient lies in Q[xi_field] and rewrite it there."""
-    if field % series._basis == 0:
-        return series if field == series.conductor else PuiseuxSeries._new(
-            field, series._basis, series.denom, series.trunc, series._start,
-            series._vec, series._den)
-    out: dict[int, Coeff] = {}
-    for n, c in series.nonzero_items():
-        try:
-            out[n] = c.demote(field)
-        except ValueError:
-            raise NotInvariant(
-                f"coefficient of q^{n} in e_{which} leaves Q[xi_{field}]: {c}",
-                exponent=Fraction(n, series.denom), coefficient=c) from None
-    return PuiseuxSeries(field, series.denom, series.lo, series.trunc, out)
 
 
 @dataclass(frozen=True)

@@ -24,6 +24,10 @@ from .qseries import PuiseuxSeries
 _TWO_PI = 2.0 * math.pi
 _MIN_IM = 0.1
 _GUARD = 10.0
+# the loops run as often as asked: 10^6 eta factors take about 0.15 s, a
+# radius-1000 lattice sum about 1 s, and q^n need not reach 0 to stop early
+MAX_TERMS = 10**6
+MAX_RADIUS = 1000
 
 
 @dataclass(frozen=True)
@@ -108,6 +112,8 @@ def eta_eval(tau: UpperHalfPoint, terms: int) -> EvalResult:
     """
     if terms < 1:
         raise ValueError("need at least one product factor")
+    if terms > MAX_TERMS:
+        raise ValueError(f"terms {terms} exceeds the largest supported terms {MAX_TERMS}")
     t = _require_tame(tau)
     q = cmath.exp(2j * math.pi * t)
     value = cmath.exp(2j * math.pi * t / 24.0)
@@ -155,6 +161,8 @@ def eisenstein_eval(k: int, tau: UpperHalfPoint, radius: int) -> EvalResult:
         raise ValueError("lattice sum needs even k >= 4")
     if radius < 1:
         raise ValueError("radius must be >= 1")
+    if radius > MAX_RADIUS:
+        raise ValueError(f"radius {radius} exceeds the largest supported radius {MAX_RADIUS}")
     t = _require_tame(tau)
     total = 0j
     for shell in range(1, radius + 1):

@@ -358,7 +358,7 @@ class TestCriterion11Batteries:
                 j = rng.choice([1, 5, 7, 11])
                 xi = CyclotomicNumber.root_of_unity(24, j)
                 poly = build_modular_polynomial(
-                    fiction(xi, conductor=24), 5, generalised=True, conductor=24)
+                    fiction(xi, conductor=24), 5, generalised=True)
                 assert symmetry_check(poly, generalised=True)
             done += 1
         announce(11, f"symmetry battery: {self.CASES} built polynomials")

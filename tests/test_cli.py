@@ -4,10 +4,11 @@ import pytest
 
 from g0wb.braid import BraidWord, burau, emit_group_table, sigma_class, symmetric_group_3
 from g0wb.cli import main
-from g0wb.corpus import load_entry
+from g0wb.corpus import load_entry, normalized_j
+from g0wb.exactnum import CyclotomicNumber
 from g0wb.goldens import GOLDEN_ORDER2
 from g0wb.hauptmodul import classify
-from g0wb.modeq import emit_mpoly
+from g0wb.modeq import build_modular_polynomial, emit_mpoly, parse_mpoly
 from g0wb.qseries import PuiseuxSeries, emit_qexp, parse_qexp
 from g0wb.report import render
 
@@ -107,6 +108,47 @@ class TestModpolyVerifyRoundtrip:
         code, _, err = run(capsys, "modpoly", "--series", str(path), "--order", "2")
         assert code == 3
         assert "q^17" in err
+
+
+class TestFieldOfTheSeries:
+    """modpoly declares its polynomial over the conductor of the series; to
+    write it over a larger Q[xi_N], declare the series with conductor N."""
+
+    @staticmethod
+    def h3(depth=40):
+        # xi_3 * J(tau + 1/3) = q^-1 + sum_k c_k(J) xi_3^(k+1) q^k
+        return PuiseuxSeries.make(
+            {k: c * CyclotomicNumber.root_of_unity(3, k + 1)
+             for k, c in normalized_j(depth).coeffs.items()}, trunc=depth, conductor=3)
+
+    def test_larger_declared_field_is_the_polynomials_field(self, capsys, tmp_path):
+        h3 = self.h3()
+        paths = {}
+        for conductor in (3, 12):
+            paths[conductor] = tmp_path / f"h3_{conductor}.qexp"
+            paths[conductor].write_text(
+                emit_qexp(h3.with_conductor(conductor), "h3"), encoding="utf-8")
+        code, out, err = run(capsys, "modpoly", "--series", str(paths[12]), "--order", "4")
+        assert (code, err) == (0, "")
+        assert out.split("\n")[2] == "conductor: 12"
+        poly = parse_mpoly(out)
+        assert poly.conductor == 12
+        assert poly == build_modular_polynomial(h3, 4)
+        poly_path = tmp_path / "h3.mpoly"
+        poly_path.write_text(out, encoding="utf-8")
+        for path in paths.values():
+            code, out, _ = run(capsys, "verify", "--series", str(path),
+                               "--modpoly", str(poly_path), "--order", "4")
+            assert code == 0
+            assert machine_block(out)["status"] == "consistent"
+
+    def test_conductor_flag_is_unrecognised(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["modpoly", "--series", "data/j.qexp", "--order", "2", "--conductor", "3"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "unrecognized arguments: --conductor 3" in err
+        assert "Traceback" not in err
 
 
 class TestBootstrap:
@@ -283,6 +325,23 @@ class TestUnboundedInputs:
         assert (code, out) == (2, "")
         assert err.startswith("usage error: ") and err.count("\n") == 1
         assert "> 1000" in err
+
+    @pytest.mark.parametrize("argv, bound", [
+        (("eta", "--tau", "0,1", "--terms", "1000000000000"), "terms 1000000"),
+        (("eta", "--tau", "0,1", "--terms", "1000001", "--law", "--matrix", "0,-1,1,0"),
+         "terms 1000000"),
+        (("kappa", "--terms", "1000000000000"), "terms 1000000"),
+        (("eisenstein", "--k", "4", "--tau", "0,1", "--radius", "1000000"), "radius 1000"),
+        (("eisenstein", "--k", "4", "--tau", "0,1", "--radius", "1001", "--law",
+          "--matrix", "0,-1,1,0"), "radius 1000"),
+    ])
+    def test_numeric_loop_above_the_cap(self, capsys, argv, bound):
+        start = time.perf_counter()
+        code, out, err = run(capsys, *argv)
+        assert time.perf_counter() - start < 1.0
+        assert (code, out) == (2, "")
+        assert err.startswith("usage error: ") and err.count("\n") == 1
+        assert err.endswith(f"largest supported {bound}\n")
 
     def test_largest_prime_below_the_cap_round_trips(self, capsys, tmp_path):
         code, out, _ = run(capsys, "avg", "--series", "data/j.qexp", "--prime", "997")

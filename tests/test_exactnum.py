@@ -138,25 +138,6 @@ class TestGaloisProperties:
         assert all(c == 0 for c in (a - a).coeffs)
 
 
-class TestSubfield:
-    def test_conductor6_is_conductor3(self):
-        z6 = CyclotomicNumber.root_of_unity(6)
-        assert z6.in_subfield(3)
-        z3 = CyclotomicNumber.root_of_unity(3)
-        assert z6.demote(3) == 1 + z3
-
-    def test_not_in_subfield(self):
-        z8 = CyclotomicNumber.root_of_unity(8)
-        assert not z8.in_subfield(4)
-        with pytest.raises(ValueError):
-            z8.demote(4)
-
-    def test_rational_demotion(self):
-        v = CyclotomicNumber.from_rational(Fraction(3, 2)).promote(24)
-        assert v.in_subfield(1)
-        assert v.demote(1) == Fraction(3, 2)
-
-
 class TestLiterals:
     @pytest.mark.parametrize("text,conductor", [
         ("3+2z^5-z^7", 24),

@@ -1,13 +1,10 @@
 """Differential tests of code paths that were merged into one, against the
 second copies they replaced, kept here as oracles:
 
-- subfield membership by Galois fixedness (every automorphism of the
-  compositum that fixes Q[xi_n] fixes the lifted number), now decided by
-  the exact solve of ``demote``;
 - the symmetry test F(x, y) == F(y, x) (or its sigma_m twist) written out
   coefficient by coefficient, now ``transpose`` and ``apply_galois``;
 - the first term of an ExpressFailure residual, now carried by the
-  exception as NotInvariant carries its own.
+  exception itself (``exponent``, ``coefficient``).
 
 Also the value reports of ``eta`` and ``eisenstein`` without ``--law``,
 which share one emitter with ``eval``."""
@@ -32,21 +29,6 @@ from g0wb.qseries import PuiseuxSeries
 
 # -- the replaced loops -----------------------------------------------------------
 
-def oracle_in_subfield(x, n):
-    """True when x lies in Q[xi_n], by Galois fixedness in the compositum."""
-    if n % x.conductor == 0:
-        return True
-    if n == 1:
-        return x.is_rational()
-    compositum = math.lcm(x.conductor, n)
-    lifted = x.promote(compositum)
-    for t in range(2, compositum + 1):
-        if t % n == 1 and math.gcd(t, compositum) == 1:
-            if lifted.galois(t) != lifted:
-                return False
-    return True
-
-
 def oracle_symmetry_check(poly, generalised=False):
     keys = set(poly.coeffs)
     keys |= {(j, i) for i, j in keys}
@@ -60,41 +42,11 @@ def oracle_symmetry_check(poly, generalised=False):
     return True
 
 
-# -- subfield membership ------------------------------------------------------------
+# -- symmetry ------------------------------------------------------------------------
 
 def _number(rng, conductor):
     return CyclotomicNumber(conductor, [rng.randint(-3, 3) for _ in range(euler_phi(conductor))])
 
-
-def _subfield_cases(count=160, seed=8):
-    """(x, n): x of conductor 3..30, n in 1..24; every other x is built in
-    Q[xi_gcd(N, n)], the part of Q[xi_n] inside Q[xi_N], and promoted."""
-    rng = random.Random(seed)
-    for index in range(count):
-        conductor, n = rng.randint(3, 30), rng.randint(1, 24)
-        if index % 2:
-            yield _number(rng, math.gcd(conductor, n)).promote(conductor), n
-        else:
-            yield _number(rng, conductor), n
-
-
-def test_in_subfield_matches_galois_fixedness():
-    members = 0
-    for x, n in _subfield_cases():
-        expected = oracle_in_subfield(x, n)
-        assert x.in_subfield(n) is expected, (x, n)
-        if expected:
-            members += 1
-            demoted = x.demote(n)
-            assert demoted.conductor == n and demoted == x
-        else:
-            with pytest.raises(ValueError):
-                x.demote(n)
-    # both outcomes are exercised, not just one
-    assert 40 < members < 120
-
-
-# -- symmetry ------------------------------------------------------------------------
 
 _SYMMETRY_CONDUCTORS = (1, 3, 4, 5, 7, 8, 12)
 

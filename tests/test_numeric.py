@@ -9,6 +9,8 @@ from g0wb.corpus import eta_product_series
 from g0wb.errors import NonConvergent
 from g0wb.matrices import IntMatrix
 from g0wb.numeric import (
+    MAX_RADIUS,
+    MAX_TERMS,
     EvalResult,
     KAPPA_PANEL,
     UpperHalfPoint,
@@ -110,6 +112,32 @@ class TestEisenstein:
             eisenstein_eval(3, I_POINT, 10)
         with pytest.raises(ValueError):
             eisenstein_eval(2, I_POINT, 10)
+
+
+class TestLoopBounds:
+    """The product and the lattice sum run as many steps as asked, and q^n
+    does not reach 0 to stop them early, so the step counts are capped."""
+
+    def test_terms_above_the_cap(self):
+        for terms in (MAX_TERMS + 1, 10**12):
+            with pytest.raises(ValueError, match="largest supported"):
+                eta_eval(I_POINT, terms)
+
+    def test_radius_above_the_cap(self):
+        for radius in (MAX_RADIUS + 1, 10**6):
+            with pytest.raises(ValueError, match="largest supported"):
+                eisenstein_eval(4, I_POINT, radius)
+
+    def test_largest_allowed_values_run(self):
+        # at Im tau = 0.1, |q| ~ 0.53 and q^n sticks at the smallest subnormal
+        slow = UpperHalfPoint(0.0, 0.1)
+        result = eta_eval(slow, MAX_TERMS)
+        assert result.terms_used == MAX_TERMS
+        assert abs(result.value - eta_eval(slow, 1000).value) < 1e-12
+        lattice = eisenstein_eval(4, I_POINT, MAX_RADIUS)
+        assert lattice.terms_used == (2 * MAX_RADIUS + 1) ** 2 - 1
+        assert abs(lattice.value - eisenstein_eval(4, I_POINT, 80).value) \
+            <= eisenstein_eval(4, I_POINT, 80).tail_estimate
 
 
 class TestTailSelfConsistency:
