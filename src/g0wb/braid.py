@@ -302,33 +302,25 @@ class GroupTable:
         return self.inverses[i]
 
 
-def _greedy_generators(mul) -> list[int]:
-    """Generators of a table with identity 0: repeatedly take the lowest
-    index not yet reached and close the reached set under right
-    multiplication by every generator taken so far."""
-    n = len(mul)
-    reached = [True] + [False] * (n - 1)
-    order = [0]
+def _greedy_generators(mul):
+    """Generators of a table with identity 0: each is the lowest index
+    outside the closure of {0} under right multiplication by those before
+    it.  Each is yielded before the next closure is built: while all pass
+    Light's test the closure is a subgroup, so it at least doubles each time."""
     gens: list[int] = []
-    for g in range(1, n):
-        if len(order) == n:
-            break
-        if reached[g]:
+    reached = {0}
+    for g in range(1, len(mul)):
+        if g in reached:
             continue
         gens.append(g)
-        # the old reached set is closed under the old generators, so only
-        # the new generator acts on it; new elements take every generator
-        old = len(order)
-        i = 0
-        while i < len(order):
-            row = mul[order[i]]
-            for a in (gens if i >= old else (g,)):
-                y = row[a]
-                if not reached[y]:
-                    reached[y] = True
-                    order.append(y)
-            i += 1
-    return gens
+        yield g
+        reached, todo = {0}, [0]
+        while todo:
+            row = mul[todo.pop()]
+            for y in (row[a] for a in gens):
+                if y not in reached:
+                    reached.add(y)
+                    todo.append(y)
 
 
 def group_from_elements(elements: Sequence, compose, label_of) -> GroupTable:

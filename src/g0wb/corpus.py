@@ -109,7 +109,7 @@ def load_entry(stem: str) -> CorpusEntry:
 
 def load_corpus() -> list[CorpusEntry]:
     """All four bundled entries, published literals re-checked."""
-    return [load_entry(stem) for stem in ("j", "g0_2", "g0_13", "g0_25")]
+    return [load_entry(stem) for stem in PUBLISHED_PREFIXES]
 
 
 def ingest(source: str, require_moonshine: bool = False) -> CorpusEntry:

@@ -32,20 +32,16 @@ class InsufficientTruncation(G0wbError):
 
 
 class NotInvariant(G0wbError):
-    """The built polynomial has the wrong x-degree; the input does not
-    satisfy the modular equation being constructed.  ``exponent`` and
-    ``coefficient`` locate the offending term when known."""
-
-    def __init__(self, message: str, exponent=None, coefficient=None):
-        super().__init__(message)
-        self.exponent = exponent
-        self.coefficient = coefficient
+    """The input does not satisfy the modular equation being constructed.
+    Only test oracles raise it: a successful build has x-degree psi(m), since
+    the leading terms of the psi(m) coset roots multiply to a root of unity
+    times q^(-psi(m))."""
 
 
 class ExpressFailure(G0wbError):
     """Pole-killing left a nonzero residual: the series is not a polynomial
     in the generator.  ``residual`` is the irreducible remainder series;
-    ``exponent`` and ``coefficient`` are its first term, as for NotInvariant."""
+    ``exponent`` and ``coefficient`` are its first term."""
 
     def __init__(self, message: str, residual=None):
         super().__init__(message)

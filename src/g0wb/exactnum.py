@@ -56,11 +56,29 @@ def euler_phi(n: int) -> int:
     return result
 
 
-def check_conductor(conductor: int, line: int) -> None:
-    """Reject a header conductor outside 1..MAX_CONDUCTOR: conductor N
-    costs an N x phi(N) reduction table (see _power_table)."""
-    if not 1 <= conductor <= MAX_CONDUCTOR:
-        raise ParseError(f"conductor {conductor} outside 1..{MAX_CONDUCTOR}", line=line)
+def _read_header(text: str, magic: str, keys: tuple[str, ...]) -> tuple[list[str], dict]:
+    """The lines of a qexp or mpoly file and its header values, one ``key:``
+    line per key after the magic line; every value but ``label`` is an
+    integer.  Conductor N costs an N x phi(N) reduction table (see
+    _power_table), so a conductor outside 1..MAX_CONDUCTOR is refused."""
+    lines = text.split("\n")
+    if lines and lines[-1] == "":
+        lines.pop()
+    if not lines or lines[0] != magic:
+        raise ParseError(f"missing '{magic}' magic line", line=1)
+    headers: dict = {}
+    for i, key in enumerate(keys, start=1):
+        if i >= len(lines) or not lines[i].startswith(key + ":"):
+            raise ParseError(f"expected '{key}:' header", line=i + 1)
+        value = lines[i][len(key) + 1:].strip()
+        try:
+            headers[key] = value if key == "label" else int(value)
+        except ValueError as exc:
+            raise ParseError(f"bad integer in '{key}' header", line=i + 1) from exc
+    if not 1 <= headers["conductor"] <= MAX_CONDUCTOR:
+        raise ParseError(f"conductor {headers['conductor']} outside 1..{MAX_CONDUCTOR}",
+                         line=keys.index("conductor") + 2)
+    return lines, headers
 
 
 def _poly_divmod(num, den) -> tuple[list, list]:
@@ -459,7 +477,7 @@ def parse_cyclotomic(text: str, conductor: int) -> CyclotomicNumber:
         raise ParseError("empty coefficient literal")
     if "z" not in text:
         return CyclotomicNumber.from_rational(parse_rational(text))
-    result = CyclotomicNumber.root_of_unity(conductor, 0) * 0
+    raw = [_ZERO] * conductor
     pieces = re.split(r"(?=[+-])", text)
     for piece in pieces[1:] if text[0] in "+-" else pieces:
         sign, term = (-1 if piece[0] == "-" else 1, piece[1:]) if piece[0] in "+-" else (1, piece)
@@ -468,5 +486,6 @@ def parse_cyclotomic(text: str, conductor: int) -> CyclotomicNumber:
             raise ParseError(f"bad term {term!r} in cyclotomic literal {text!r}")
         coef = Fraction(m.group("coef")) if m.group("coef") else _ONE
         power = int(m.group("pow") or 1) if m.group("z") else 0
-        result = result + CyclotomicNumber.root_of_unity(conductor, power) * (sign * coef)
-    return result
+        raw[power % conductor] += sign * coef
+    return CyclotomicNumber(conductor, _fold([[c] if c else None for c in raw],
+                                             euler_phi(conductor), conductor, 1))

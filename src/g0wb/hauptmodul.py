@@ -12,7 +12,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from operator import add, mul
 from typing import Iterable
 
@@ -22,7 +21,6 @@ from .errors import (
     Inconsistent,
     InsufficientSeed,
     InsufficientTruncation,
-    NotInvariant,
     ShapeError,
 )
 from .exactnum import CyclotomicNumber, _convolve, _fold, _promote, euler_phi
@@ -119,13 +117,11 @@ def _test_order(h: PuiseuxSeries, m: int, notes: list[str]) -> VerificationRepor
     except InsufficientTruncation as exc:
         notes.append(f"order {m}: need input determined through q^{exc.required}")
         return VerificationReport(m, h.trunc_exponent(), "insufficient-data")
-    except (NotInvariant, ExpressFailure) as exc:
-        e = exc.exponent if exc.exponent is not None else Fraction(0)
-        c = exc.coefficient if exc.coefficient is not None else CyclotomicNumber.zero()
+    except ExpressFailure as exc:
         notes.append(f"order {m}: {exc}")
         return VerificationReport(
             m, h.trunc_exponent(), "inconsistent",
-            first_failure=(Fraction(e), CyclotomicNumber.zero(), c))
+            first_failure=(exc.exponent, CyclotomicNumber.zero(), exc.coefficient))
     return verify_modular_equation(h, poly, m)
 
 

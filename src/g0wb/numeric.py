@@ -183,11 +183,6 @@ def eisenstein_evaluator(k: int, radius: int) -> Evaluator:
     return lambda tau: eisenstein_eval(k, tau, radius)
 
 
-def _value_of(f: Evaluator, tau: UpperHalfPoint) -> complex:
-    out = f(tau)
-    return out.value if isinstance(out, EvalResult) else complex(out)
-
-
 def _principal_power(base: complex, k) -> complex:
     return cmath.exp(float(k) * cmath.log(base))
 
@@ -204,30 +199,23 @@ def check_weight_law(f: Evaluator, mat: IntMatrix, k, mu: complex,
     t = tau.as_complex()
     image = UpperHalfPoint.of(mat.moebius(t))
     factor = _principal_power(mat.c * t + mat.d, k)
-    return abs(_value_of(f, image) - mu * factor * _value_of(f, tau))
+    return abs(f(image).value - mu * factor * f(tau).value)
 
 
 def lift_phi(f: Evaluator, k, mu, g: Sequence[float]) -> complex:
     """Lift of a form to the group: phi(g) = f(g.i) * (c*i + d)^(-k) *
     conj(mu(g)).
 
-    ``mu`` may be a complex value, a callable on the matrix, or None for
-    the trivial multiplier (used off the discrete group).
+    ``mu`` is the multiplier's value at g, or None for the trivial
+    multiplier (used off the discrete group).
     """
     a, b, c, d = (float(x) for x in g)
     det = a * d - b * c
     if abs(det - 1.0) > 1e-9:
         raise ValueError(f"determinant {det} != 1")
-    z = (a * 1j + b) / (c * 1j + d)
-    if callable(mu):
-        mu_value = mu(g)
-    elif mu is None:
-        mu_value = 1.0 + 0j
-    else:
-        mu_value = complex(mu)
-    point = UpperHalfPoint.of(z)
-    return (_value_of(f, point) * _principal_power(c * 1j + d, -float(k))
-            * mu_value.conjugate())
+    point = UpperHalfPoint.of((a * 1j + b) / (c * 1j + d))
+    return (f(point).value * _principal_power(c * 1j + d, -float(k))
+            * complex(1 if mu is None else mu).conjugate())
 
 
 # -- selection of the eta-multiplier constant ----------------------------------

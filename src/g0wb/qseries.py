@@ -40,7 +40,7 @@ from types import MappingProxyType
 from typing import Iterable, Mapping
 
 from .errors import InsufficientTruncation, NonIntegralInput, ParseError
-from .exactnum import (CyclotomicNumber, _convolve, _fold, _integral, _promote, check_conductor,
+from .exactnum import (CyclotomicNumber, _convolve, _fold, _integral, _promote, _read_header,
                        euler_phi, format_literal, parse_cyclotomic, parse_rational)
 
 Coeff = CyclotomicNumber
@@ -193,16 +193,10 @@ class PuiseuxSeries:
                 for i in range(len(vec) // phi) if any(vec[i * phi:(i + 1) * phi])}))
         return self._view
 
-    def exponent(self, numerator: int) -> Fraction:
-        return Fraction(numerator, self.denom)
-
     def trunc_exponent(self) -> Fraction:
         """Largest exponent (as a rational) through which coefficients are
         determined."""
         return Fraction(self.trunc, self.denom)
-
-    def lo_exponent(self) -> Fraction:
-        return Fraction(self.lo, self.denom)
 
     def coefficient(self, exponent) -> Coeff:
         """Exact coefficient at the given exponent (int or Fraction).
@@ -237,9 +231,6 @@ class PuiseuxSeries:
         if e is None or e >= 0:
             return 0
         return int(math.ceil(-e))
-
-    def has_integral_exponents(self) -> bool:
-        return self.denom == 1
 
     def is_moonshine_shape(self) -> bool:
         """Integral exponents, leading term exactly q^-1, zero constant term."""
@@ -586,29 +577,9 @@ def emit_qexp(series: PuiseuxSeries, label: str) -> str:
 
 
 def parse_qexp(text: str) -> tuple[PuiseuxSeries, str]:
-    lines = text.split("\n")
-    if lines and lines[-1] == "":
-        lines.pop()
-    if not lines or lines[0] != "# qexp v1":
-        raise ParseError("missing '# qexp v1' magic line", line=1)
-    headers = {}
-    order = ["label", "conductor", "denom", "lo", "trunc"]
-    if len(lines) < 6:
-        raise ParseError("truncated header", line=len(lines))
-    for i, key in enumerate(order, start=1):
-        prefix = key + ":"
-        if not lines[i].startswith(prefix):
-            raise ParseError(f"expected '{key}:' header", line=i + 1)
-        headers[key] = lines[i][len(prefix):].strip()
-    label = headers["label"]
-    try:
-        conductor = int(headers["conductor"])
-        denom = int(headers["denom"])
-        lo = int(headers["lo"])
-        trunc = int(headers["trunc"])
-    except ValueError as exc:
-        raise ParseError(f"bad header value: {exc}") from exc
-    check_conductor(conductor, line=3)
+    lines, headers = _read_header(text, "# qexp v1",
+                                  ("label", "conductor", "denom", "lo", "trunc"))
+    label, conductor, denom, lo, trunc = headers.values()
     coeffs: dict[int, object] = {}
     last = None
     for idx, line in enumerate(lines[6:], start=7):

@@ -1,10 +1,12 @@
 import time
+from importlib import resources
 
 import pytest
 
 from g0wb.braid import BraidWord, burau, emit_group_table, sigma_class, symmetric_group_3
 from g0wb.cli import main
-from g0wb.corpus import load_entry, normalized_j
+from g0wb.corpus import PUBLISHED_PREFIXES, load_entry, normalized_j
+from g0wb.errors import ParseError
 from g0wb.exactnum import CyclotomicNumber
 from g0wb.goldens import GOLDEN_ORDER2
 from g0wb.hauptmodul import classify
@@ -294,6 +296,190 @@ class TestErrors:
         monkeypatch.setenv("G0WB_DATA", str(tmp_path))
         code, out, _ = run(capsys, "eval", "--series", "mine.qexp", "--tau", "0,1")
         assert code == 0
+
+
+def _edit_line(text, index, line):
+    lines = text.split("\n")
+    lines[index] = line
+    return "\n".join(lines)
+
+
+_MPOLY = emit_mpoly(GOLDEN_ORDER2)
+_LAST_MONOMIAL = len(_MPOLY.split("\n")) - 2
+_QEXP = emit_qexp(normalized_j(10), "J")
+_S3 = emit_group_table(symmetric_group_3())
+
+# name -> text of each input file a refusal row reads
+_REFUSAL_FILES = {
+    "mp_magic.mpoly": _edit_line(_MPOLY, 0, "# mpoly v2"),
+    "mp_header.mpoly": _edit_line(_MPOLY, 2, "cond: 1"),
+    "mp_nonint.mpoly": _edit_line(_MPOLY, 3, "degx: three"),
+    "mp_fields.mpoly": _edit_line(_MPOLY, 5, "0 1"),
+    "mp_exponents.mpoly": _edit_line(_MPOLY, 5, "a 1 5"),
+    "mp_duplicate.mpoly": _edit_line(_MPOLY, 6, _MPOLY.split("\n")[5]),
+    "mp_outside.mpoly": _edit_line(_MPOLY, _LAST_MONOMIAL, "9 9 1"),
+    "mp_zero.mpoly": _edit_line(_MPOLY, _LAST_MONOMIAL,
+                                _MPOLY.split("\n")[_LAST_MONOMIAL].rsplit(" ", 1)[0] + " 0"),
+    "wrong_degree.mpoly": _MPOLY.replace("order: 2", "order: 3"),
+    "order2.mpoly": _MPOLY,
+    "q_blank.qexp": _edit_line(_QEXP, 7, ""),
+    "q_fields.qexp": _edit_line(_QEXP, 7, "1"),
+    "q_numerator.qexp": _edit_line(_QEXP, 7, "x 196884"),
+    "nonmoonshine.qexp": emit_qexp(PuiseuxSeries.make({-2: 1, 1: 5}, trunc=40), "N"),
+    "fractional.qexp": emit_qexp(PuiseuxSeries.make({-2: 1, 1: 5}, trunc=40, denom=2), "F"),
+    "shallow.qexp": emit_qexp(normalized_j(6), "J"),
+    "g_header.table": _edit_line(_S3, 0, "n: 6"),
+    "g_order.table": _edit_line(_S3, 0, "order: six"),
+    "g_zero.table": _edit_line(_S3, 0, "order: 0"),
+    "g_rows.table": "\n".join(_S3.split("\n")[:-2]),
+    "g_entries.table": _edit_line(_S3, 2, _S3.split("\n")[2] + " e"),
+    "g_distinct.table": _edit_line(_S3, 1, " ".join(["e"] * 6)),
+    "g_label.table": _edit_line(_S3, 3, _S3.split("\n")[3].replace("e", "zz")),
+    "g_inverse.table": "order: 2\ne a\na a\n",
+    "g_associative.table": "order: 3\ne a b\na e a\nb b e\n",
+}
+
+_VERIFY = ("verify", "--series", "data/j.qexp", "--order", "2", "--modpoly")
+_CLASSIFY = ("classify", "--orders", "2", "--series")
+_QUILT = ("quilt", "--start", "e,e", "--group")
+_LAW = ("--tau", "0,1", "--law")
+
+
+class TestRefusals:
+    """Each malformed input or option is refused with one error line, an
+    empty stdout and its documented exit code."""
+
+    @pytest.mark.parametrize("argv, code, reason", [
+        (_VERIFY + ("mp_magic.mpoly",), 3, "magic line"),
+        (_VERIFY + ("mp_header.mpoly",), 3, "expected 'conductor:' header"),
+        (_VERIFY + ("mp_nonint.mpoly",), 3, "bad integer in 'degx' header"),
+        (_VERIFY + ("mp_fields.mpoly",), 3, "expected '<i> <j> <coefficient>'"),
+        (_VERIFY + ("mp_exponents.mpoly",), 3, "bad monomial exponents"),
+        (_VERIFY + ("mp_duplicate.mpoly",), 3, "out of order or duplicated"),
+        (_VERIFY + ("mp_outside.mpoly",), 3, "outside declared degrees"),
+        (_VERIFY + ("mp_zero.mpoly",), 3, "explicit zero"),
+        (_VERIFY + ("missing.mpoly",), 3, "no such polynomial file"),
+        (_CLASSIFY + ("q_blank.qexp",), 3, "blank line"),
+        (_CLASSIFY + ("q_fields.qexp",), 3, "expected '<numerator> <coefficient>'"),
+        (_CLASSIFY + ("q_numerator.qexp",), 3, "bad exponent numerator"),
+        (_QUILT + ("g_header.table",), 3, "missing 'order: n' header"),
+        (_QUILT + ("g_order.table",), 3, "bad order header"),
+        (_QUILT + ("g_zero.table",), 3, "not positive"),
+        (_QUILT + ("g_rows.table",), 3, "table rows"),
+        (_QUILT + ("g_entries.table",), 3, "row has 7 entries"),
+        (_QUILT + ("g_distinct.table",), 3, "distinct elements"),
+        (_QUILT + ("g_label.table",), 3, "unknown label"),
+        (_QUILT + ("g_inverse.table",), 3, "no inverse"),
+        (_QUILT + ("g_associative.table",), 3, "not associative"),
+        (("eval", "--series", "data/j.qexp", "--tau", "0"), 3, "tau must be RE,IM"),
+        (("eval", "--series", "data/j.qexp", "--tau", "a,b"), 3, "bad tau"),
+        (("eta",) + _LAW, 3, "--law needs --matrix"),
+        (("eisenstein", "--k", "4", "--radius", "20") + _LAW, 3, "--law needs --matrix"),
+        (("quilt", "--group", "s3", "--start", "e"), 3, "--start must be g,h"),
+        (("eta",) + _LAW + ("--matrix", "1,0,1"), 3, "four entries"),
+        (("member", "--matrix", "1,0,x,1", "--level", "4", "--flavor", "gamma0"), 3,
+         "bad matrix entry"),
+        (("member", "--matrix", "1,0,4,1", "--level", "0", "--flavor", "gamma0"), 2,
+         "level must be >= 1"),
+        (("eta", "--tau", "0,1", "--terms", "0"), 2, "product factor"),
+        (("eisenstein", "--k", "4", "--tau", "0,1", "--radius", "0"), 2, "radius must be >= 1"),
+        (("verify", "--series", "data/j.qexp", "--modpoly", "wrong_degree.mpoly",
+          "--order", "3"), 2, "!= psi(3) = 4"),
+        (("bootstrap", "--series", "shallow.qexp", "--modpoly", "wrong_degree.mpoly",
+          "--order", "3", "--target", "30"), 2, "degrees != psi(3)"),
+        (("verify", "--series", "nonmoonshine.qexp", "--modpoly", "order2.mpoly",
+          "--order", "2"), 3, "verification needs q^-1"),
+        (("modpoly", "--series", "nonmoonshine.qexp", "--order", "2"), 3,
+         "construction needs q^-1"),
+        (("bootstrap", "--series", "nonmoonshine.qexp", "--modpoly", "order2.mpoly",
+          "--order", "2", "--target", "30"), 3, "seed"),
+        (("avg", "--series", "nonmoonshine.qexp", "--prime", "2", "--express"), 3,
+         "generator must be q^-1"),
+        (("avg", "--series", "fractional.qexp", "--prime", "2"), 3, "integral exponents"),
+    ])
+    def test_refused_with_one_line(self, capsys, tmp_path, argv, code, reason):
+        for name, text in _REFUSAL_FILES.items():
+            (tmp_path / name).write_text(text, encoding="utf-8")
+        argv = [str(tmp_path / a) if a in _REFUSAL_FILES or a == "missing.mpoly" else a
+                for a in argv]
+        got, out, err = run(capsys, *argv)
+        assert (got, out) == (code, "")
+        assert err.startswith(("error: ", "usage error: ")) and err.count("\n") == 1
+        assert reason in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("k_max", ["0", "-3"])
+    def test_replicate_needs_a_positive_k_max(self, capsys, k_max):
+        code, out, err = run(capsys, "replicate", "--series", "data/j.qexp",
+                             "--square", "data/j.qexp", f"--k-max={k_max}")
+        assert (code, out) == (2, "")
+        assert err == "usage error: replication index k must be >= 1\n"
+
+
+def _override_with(tmp_path, stem=None):
+    """Copies of the packaged corpus in tmp_path, the published coefficient
+    of ``stem`` at its first exponent above 1 bumped by one."""
+    for name in PUBLISHED_PREFIXES:
+        text = (resources.files("g0wb") / "data" / f"{name}.qexp").read_text("utf-8")
+        if name == stem:
+            series, label = parse_qexp(text)
+            n = min(e for e in PUBLISHED_PREFIXES[name] if e > 1)
+            coeffs = dict(series.coeffs)
+            coeffs[n] = coeffs[n] + 1
+            text = emit_qexp(PuiseuxSeries.make(coeffs, trunc=series.trunc), label)
+        (tmp_path / f"{name}.qexp").write_text(text, encoding="utf-8")
+    return n if stem else None
+
+
+class TestOverriddenCorpus:
+    """A bundled name is read through the corpus loader under G0WB_DATA too."""
+
+    @pytest.mark.parametrize("stem", list(PUBLISHED_PREFIXES))
+    def test_tampered_copy_is_a_data_error(self, capsys, tmp_path, monkeypatch, stem):
+        n = _override_with(tmp_path, stem)
+        monkeypatch.setenv("G0WB_DATA", str(tmp_path))
+        code, out, err = run(capsys, "classify", "--series", f"data/{stem}.qexp",
+                             "--orders", "2")
+        expected = PUBLISHED_PREFIXES[stem][n]
+        assert (code, out) == (3, "")
+        assert err == (f"error: {stem}: coefficient of q^{n} is {expected + 1}, "
+                       f"bundled reference says {expected}\n")
+
+    @pytest.mark.parametrize("argv", [
+        ("classify", "--series", "data/j.qexp", "--orders", "2"),
+        ("classify", "--series", "data/g0_25.qexp", "--orders", "2"),
+        ("verify", "--series", "data/g0_2.qexp", "--modpoly", "o.mpoly", "--order", "3"),
+    ])
+    def test_untampered_copy_prints_the_packaged_footnotes(self, capsys, tmp_path,
+                                                           monkeypatch, argv):
+        poly = build_modular_polynomial(load_entry("g0_2").series, 3)
+        (tmp_path / "o.mpoly").write_text(emit_mpoly(poly), encoding="utf-8")
+        argv = [str(tmp_path / a) if a == "o.mpoly" else a for a in argv]
+        packaged = run(capsys, *argv)
+        override = tmp_path / "data"
+        override.mkdir()
+        _override_with(override)
+        monkeypatch.setenv("G0WB_DATA", str(override))
+        assert run(capsys, *argv) == packaged
+        assert packaged[0] == 0 and "published reference expansion" in packaged[1]
+
+
+class TestQexpHeaderMessages:
+    @pytest.mark.parametrize("text, message", [
+        ("# qexp v1\nlabel: J\nconductor: 1\ndenom: 1\n", "line 5: expected 'lo:' header"),
+        ("# qexp v1\nlabel: J\n", "line 3: expected 'conductor:' header"),
+        ("# qexp v1\nlabel: J\nconductor: 1\ndenom: one\nlo: -1\ntrunc: 1\n-1 1\n",
+         "line 4: bad integer in 'denom' header"),
+        ("# qexp v1\nlabel: J\nconductor: 2.5\ndenom: 1\nlo: -1\ntrunc: 1\n-1 1\n",
+         "line 3: bad integer in 'conductor' header"),
+    ], ids=["four-keys", "one-key", "denom", "conductor"])
+    def test_header_message(self, capsys, tmp_path, text, message):
+        with pytest.raises(ParseError) as err:
+            parse_qexp(text)
+        assert str(err.value) == message
+        (tmp_path / "h.qexp").write_text(text, encoding="utf-8")
+        code, out, stderr = run(capsys, "classify", "--series", str(tmp_path / "h.qexp"),
+                                "--orders", "2")
+        assert (code, out, stderr) == (3, "", f"error: {message}\n")
 
 
 class TestUnboundedInputs:
