@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from importlib import resources
 
 from .errors import CorruptCorpus, ParseError, ShapeError
-from .qseries import PuiseuxSeries, SeriesMeta, parse_qexp
+from .qseries import PuiseuxSeries, SeriesMeta, compare_to_order, parse_qexp
 
 DATA_ENV = "G0WB_DATA"
 
@@ -90,15 +90,13 @@ def load_entry(stem: str) -> CorpusEntry:
     if label != expect_label:
         raise CorruptCorpus(f"{stem}: label {label!r} != {expect_label!r}")
     depth = PUBLISHED_DEPTH[stem]
-    literals = PUBLISHED_PREFIXES[stem]
     if series.trunc < depth:
         raise CorruptCorpus(f"{stem}: file truncated before the published depth {depth}")
-    for n in range(-1, depth + 1):
-        expected = literals.get(n, 0)
-        if series.coefficient(n) != expected:
-            raise CorruptCorpus(
-                f"{stem}: coefficient of q^{n} is {series.coefficient(n)}, "
-                f"bundled reference says {expected}")
+    found = compare_to_order(series, PuiseuxSeries.make(PUBLISHED_PREFIXES[stem], trunc=depth),
+                             depth)
+    if not found.equal:
+        raise CorruptCorpus(f"{stem}: coefficient of q^{found.exponent} is {found.left}, "
+                            f"bundled reference says {found.right}")
     ranges = [ProvenanceRange(-1, depth, "published")]
     if series.trunc > depth:
         ranges.append(ProvenanceRange(depth + 1, series.trunc, "derived",

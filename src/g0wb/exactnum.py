@@ -454,9 +454,10 @@ def format_literal(coeffs) -> str:
     return "".join(parts)
 
 
-def parse_rational(text: str) -> Fraction:
+def parse_rational(text: str) -> Fraction | int:
+    """An ``a/b`` literal as a Fraction, a signed run of digits as an int."""
     try:
-        return Fraction(text)
+        return int(text) if text.lstrip("+-").isdecimal() else Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise ParseError(f"bad rational literal {text!r}") from exc
 

@@ -23,16 +23,10 @@ from .errors import (
     InsufficientTruncation,
     ShapeError,
 )
-from .exactnum import CyclotomicNumber, _convolve, _fold, _promote, euler_phi
+from .exactnum import CyclotomicNumber, _convolve, _fold, _power_table, _promote, euler_phi
 from .matrices import IntMatrix
-from .modeq import (
-    ModularPolynomial,
-    VerificationReport,
-    build_modular_polynomial,
-    check_order,
-    psi,
-    verify_modular_equation,
-)
+from .modeq import (ModularPolynomial, VerificationReport, _build, check_order,
+                    verify_modular_equation)
 from .qseries import PuiseuxSeries, _scalar, substitute_coset
 
 @dataclass(frozen=True)
@@ -62,13 +56,16 @@ def detect_fiction(h: PuiseuxSeries) -> CyclotomicNumber | None:
     if h.trunc < 2:
         raise InsufficientTruncation(
             "fiction detection needs the series determined through q^2", required=2)
-    xi = h.coefficient(1)
-    fiction = PuiseuxSeries.make({-1: 1, 1: xi}, trunc=h.trunc, conductor=h.conductor)
-    return xi if (h - fiction).is_zero() else None
+    # the moonshine shape fixes the q^-1 and q^0 blocks; nothing may follow q^1
+    return h.coefficient(1) if len(h._vec) <= 3 * euler_phi(h._basis) else None
 
 
 def _is_admissible_xi(xi: CyclotomicNumber) -> bool:
-    return xi.is_zero() or (xi ** 24) == CyclotomicNumber.one()
+    """xi = 0 or xi^24 = 1, with no power taken: the 24th roots of unity in
+    Q[xi_N] are the rows +-xi_N^(kN/g), g = gcd(N, 24), of the power table."""
+    n = xi.conductor
+    return xi.is_zero() or any(xi.coeffs in (row, tuple(-c for c in row))
+                               for row in _power_table(n)[::n // math.gcd(n, 24)])
 
 
 def classify(h: PuiseuxSeries, orders: Iterable[int]) -> Classification:
@@ -90,10 +87,8 @@ def classify(h: PuiseuxSeries, orders: Iterable[int]) -> Classification:
     if xi is not None:
         notes.append(
             f"two-term series with xi = {xi.literal()}: xi^24 != 1, not a degenerate solution")
-    reports: list[tuple[int, VerificationReport]] = []
     order_list = sorted(set(int(m) for m in orders))
-    for m in order_list:
-        reports.append((m, _test_order(h, m, notes)))
+    reports = [(m, _test_order(h, m, notes)) for m in order_list]
     statuses = [r.status for _, r in reports]
     if any(s == "inconsistent" for s in statuses):
         verdict = "inconsistent"
@@ -112,8 +107,9 @@ def classify(h: PuiseuxSeries, orders: Iterable[int]) -> Classification:
 
 
 def _test_order(h: PuiseuxSeries, m: int, notes: list[str]) -> VerificationReport:
+    # a built polynomial verifies against h to its lowest residual bound
     try:
-        poly = build_modular_polynomial(h, m)
+        verified_to = _build(h, m, False)[1]
     except InsufficientTruncation as exc:
         notes.append(f"order {m}: need input determined through q^{exc.required}")
         return VerificationReport(m, h.trunc_exponent(), "insufficient-data")
@@ -122,7 +118,7 @@ def _test_order(h: PuiseuxSeries, m: int, notes: list[str]) -> VerificationRepor
         return VerificationReport(
             m, h.trunc_exponent(), "inconsistent",
             first_failure=(exc.exponent, CyclotomicNumber.zero(), exc.coefficient))
-    return verify_modular_equation(h, poly, m)
+    return VerificationReport(m, verified_to, "consistent")
 
 
 def bootstrap_extend(h_prefix: PuiseuxSeries, poly: ModularPolynomial, m: int,
@@ -148,9 +144,7 @@ def bootstrap_extend(h_prefix: PuiseuxSeries, poly: ModularPolynomial, m: int,
     """
     if not h_prefix.is_moonshine_shape():
         raise ShapeError("bootstrap needs a q^-1 + O(q) seed")
-    check_order(m)
-    if poly.degx != psi(m) or poly.degy != psi(m):
-        raise ValueError(f"polynomial degrees != psi({m})")
+    check_order(m, poly)
     if target <= h_prefix.trunc:
         return h_prefix.truncate(target)
     d_dx = poly.derivative("x")

@@ -49,12 +49,16 @@ Coeff = CyclotomicNumber
 MAX_ORDER = 100
 
 
-def check_order(m: int) -> None:
-    """Refuse an order above MAX_ORDER before any work: psi factors m by
+def check_order(m: int, poly: ModularPolynomial | None = None) -> None:
+    """Refuse an order above MAX_ORDER before any work (psi factors m by
     trial division, and a build's Newton sums grow as psi(m)^2 series
-    products even for a two-term input."""
+    products even for a two-term input), then an input polynomial whose
+    degrees are not psi(m)."""
     if m > MAX_ORDER:
         raise ValueError(f"order {m} exceeds the largest supported order {MAX_ORDER}")
+    if poly is not None and (poly.degx != psi(m) or poly.degy != psi(m)):
+        raise ValueError(
+            f"polynomial degrees ({poly.degx}, {poly.degy}) != psi({m}) = {psi(m)}")
 
 
 def psi(m: int) -> int:
@@ -228,6 +232,11 @@ def express_in_generator(f: PuiseuxSeries, h: PuiseuxSeries) -> UnivariatePoly:
     with a multiple of the matching power of h; succeeds when the residual
     vanishes identically on its determined range.
     """
+    return _express(f, h)[0]
+
+
+def _express(f: PuiseuxSeries, h: PuiseuxSeries) -> tuple[UnivariatePoly, Fraction]:
+    """express_in_generator, and the bound of its zero residual f - P(h)."""
     if not h.is_moonshine_shape():
         raise ShapeError("generator must be q^-1 + O(q) with zero constant term")
     if f.denom != 1:
@@ -253,7 +262,8 @@ def express_in_generator(f: PuiseuxSeries, h: PuiseuxSeries) -> UnivariatePoly:
             residual=residual,
         )
     return UnivariatePoly.from_list(
-        [coeffs.get(j, CyclotomicNumber.zero()) for j in range(degree + 1)])
+        [coeffs.get(j, CyclotomicNumber.zero()) for j in range(degree + 1)]), \
+        residual.trunc_exponent()
 
 
 @dataclass(frozen=True)
@@ -350,6 +360,13 @@ def build_modular_polynomial(h: PuiseuxSeries, m: int,
     Galois-twisted variant).  The result is declared over Q[xi_N]: to write
     it over a larger cyclotomic field, declare h over that field.
     """
+    return _build(h, m, generalised)[0]
+
+
+def _build(h: PuiseuxSeries, m: int, generalised: bool) -> tuple[ModularPolynomial, Fraction]:
+    """build_modular_polynomial, and the lowest bound of its residuals e_j -
+    P_j(h): verification forms the same differences, so the polynomial
+    verifies against h as consistent to exactly that bound."""
     if not h.is_moonshine_shape():
         raise ShapeError("modular polynomial construction needs q^-1 + O(q) input")
     if generalised and math.gcd(m, h.conductor) != 1:
@@ -366,9 +383,10 @@ def build_modular_polynomial(h: PuiseuxSeries, m: int,
     degree = len(elementary) - 1
     generator = h if not generalised else h.map_coefficients(lambda c: c.galois(m))
     slices: dict[tuple[int, int], Coeff] = {}
+    bounds: dict[int, Fraction] = {}
     for j, e_j in enumerate(elementary):
         try:
-            poly = express_in_generator(e_j, generator)
+            poly, bounds[j] = _express(e_j, generator)
         except ExpressFailure as exc:
             raise ExpressFailure(
                 f"e_{j} is not a polynomial in the generator (order {m})",
@@ -379,7 +397,7 @@ def build_modular_polynomial(h: PuiseuxSeries, m: int,
             if c.is_zero():
                 continue
             slices[(i, degree - j)] = c * sign
-    return ModularPolynomial(m, h.conductor, slices, degree, degree)
+    return ModularPolynomial(m, h.conductor, slices, degree, degree), min(bounds.values())
 
 
 @dataclass(frozen=True)
@@ -404,10 +422,7 @@ def verify_modular_equation(h: PuiseuxSeries, poly: ModularPolynomial, m: int,
     class power sums the build uses, and compared to the largest order the
     input truncation supports.  Failures are reported in-band, never raised.
     """
-    check_order(m)
-    if poly.degx != psi(m) or poly.degy != psi(m):
-        raise ValueError(
-            f"polynomial degrees ({poly.degx}, {poly.degy}) != psi({m}) = {psi(m)}")
+    check_order(m, poly)
     if not h.is_moonshine_shape():
         raise ShapeError("verification needs q^-1 + O(q) input")
     elementary = _coset_elementary(h, m)

@@ -53,6 +53,8 @@ MAX_SPAN = 100_000
 
 def _scalar(value) -> tuple[int, list[int], int]:
     """An exact number as (conductor, integer vector, positive denominator)."""
+    if type(value) is int:
+        return 1, [value], 1
     if isinstance(value, CyclotomicNumber):
         conductor, entries = value.conductor, value.coeffs
     else:

@@ -386,7 +386,7 @@ class TestRefusals:
         (("verify", "--series", "data/j.qexp", "--modpoly", "wrong_degree.mpoly",
           "--order", "3"), 2, "!= psi(3) = 4"),
         (("bootstrap", "--series", "shallow.qexp", "--modpoly", "wrong_degree.mpoly",
-          "--order", "3", "--target", "30"), 2, "degrees != psi(3)"),
+          "--order", "3", "--target", "30"), 2, "polynomial degrees (3, 3) != psi(3) = 4"),
         (("verify", "--series", "nonmoonshine.qexp", "--modpoly", "order2.mpoly",
           "--order", "2"), 3, "verification needs q^-1"),
         (("modpoly", "--series", "nonmoonshine.qexp", "--order", "2"), 3,

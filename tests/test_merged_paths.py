@@ -9,7 +9,14 @@ second copies they replaced, kept here as oracles:
   (``parse_cyclotomic``);
 - the incremental closure that picked the generators for Light's
   associativity test, now a fresh closure per generator
-  (``braid._greedy_generators``).
+  (``braid._greedy_generators``);
+- every qexp literal read as a Fraction, now an int for a signed run of
+  digits (``parse_rational``);
+- the fiction screen by building q^-1 + xi*q and subtracting, now a length
+  test of h's vector (``detect_fiction``), and xi^24 == 1, now a comparison
+  with the 24th roots of unity of the power table (``_is_admissible_xi``);
+- an order of ``classify`` tested by building its polynomial and verifying
+  it against h, now the build's own residual bound (``_test_order``).
 
 Also the value reports of ``eta`` and ``eisenstein`` without ``--law``,
 which share one emitter with ``eval``."""
@@ -19,8 +26,10 @@ import random
 import re
 import time
 from fractions import Fraction
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from g0wb.braid import (
     _greedy_generators,
@@ -29,17 +38,24 @@ from g0wb.braid import (
     group_from_elements,
     symmetric_group_3,
 )
+from g0wb import qseries
 from g0wb.cli import main
-from g0wb.errors import ExpressFailure, NotCoprime
-from g0wb.exactnum import CyclotomicNumber, euler_phi, parse_cyclotomic
-from g0wb.hauptmodul import classify
+from g0wb.corpus import PUBLISHED_DEPTH, PUBLISHED_PREFIXES, load_entry, normalized_j
+from g0wb.errors import (CorruptCorpus, ExpressFailure, InsufficientTruncation, NotCoprime,
+                         ParseError)
+from g0wb.exactnum import CyclotomicNumber, euler_phi, parse_cyclotomic, parse_rational
+from g0wb.hauptmodul import _is_admissible_xi, _test_order, classify, detect_fiction
 from g0wb.modeq import (
     ModularPolynomial,
+    VerificationReport,
+    _build,
     build_modular_polynomial,
     express_in_generator,
+    required_truncation,
     symmetry_check,
+    verify_modular_equation,
 )
-from g0wb.qseries import PuiseuxSeries
+from g0wb.qseries import PuiseuxSeries, emit_qexp, parse_qexp
 
 
 # -- the replaced loops -----------------------------------------------------------
@@ -72,6 +88,37 @@ def oracle_parse_cyclotomic(text, conductor):
         result = result + CyclotomicNumber.root_of_unity(conductor, power) * (
             sign * Fraction(coef or 1))
     return result
+
+
+def oracle_parse_rational(text):
+    """Every literal without z read as a Fraction."""
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ParseError(f"bad rational literal {text!r}") from exc
+
+
+def oracle_detect_fiction(h):
+    """xi when h minus q^-1 + xi*q, built as a series, is zero."""
+    xi = h.coefficient(1)
+    fiction = PuiseuxSeries.make({-1: 1, 1: xi}, trunc=h.trunc, conductor=h.conductor)
+    return xi if (h - fiction).is_zero() else None
+
+
+def oracle_test_order(h, m, notes):
+    """An order tested by building its polynomial, then verifying it
+    against h: the coset expansion runs twice."""
+    try:
+        poly = build_modular_polynomial(h, m)
+    except InsufficientTruncation as exc:
+        notes.append(f"order {m}: need input determined through q^{exc.required}")
+        return VerificationReport(m, h.trunc_exponent(), "insufficient-data")
+    except ExpressFailure as exc:
+        notes.append(f"order {m}: {exc}")
+        return VerificationReport(
+            m, h.trunc_exponent(), "inconsistent",
+            first_failure=(exc.exponent, CyclotomicNumber.zero(), exc.coefficient))
+    return verify_modular_equation(h, poly, m)
 
 
 def oracle_greedy_generators(mul):
@@ -266,6 +313,188 @@ def test_classify_reports_an_express_failure_at_its_first_term():
     (_, report), = classify(h, [2]).orders_tested
     assert report.status == "inconsistent"
     assert report.first_failure == (first, 0, residual.coefficient(first)) == (5, 0, 2)
+
+
+# -- integer literals ------------------------------------------------------------------
+
+_LITERALS = st.one_of(
+    st.sampled_from(["-0", "007", "+5", "-12", "1_000", "1__0", "_5", "5_", " 5", "5 ",
+                     "\u0665", "-\u0661\u0662", "\u00b2", "+-5", "--5", "+", "-", "",
+                     "1/2", "-6/4", "+3/1", "4/0", "0/5", " 1/2", "1.5", "1e3", "0x10",
+                     "z", "2z^3", "1-z", "-z^2", "1" * 5000]),
+    st.integers(-10**30, 10**30).map(str),
+    st.tuples(st.integers(-99, 99), st.integers(0, 99)).map(lambda t: f"{t[0]}/{t[1]}"),
+    st.text(alphabet="0123456789+-/_ z^\u0665", max_size=6),
+)
+
+
+def _outcome(text):
+    """The emitted series, or the error type, message and line."""
+    try:
+        series, label = parse_qexp(text)
+    except ParseError as exc:
+        return type(exc), str(exc), exc.line
+    return emit_qexp(series, label), series
+
+
+@settings(max_examples=300, deadline=None)
+@given(conductor=st.sampled_from([1, 3, 24]), literals=st.lists(_LITERALS, max_size=4))
+def test_parse_qexp_matches_the_fraction_reader(conductor, literals):
+    body = "".join(f"{n} {lit}\n" for n, lit in enumerate(literals, start=1))
+    text = f"# qexp v1\nlabel: H\nconductor: {conductor}\ndenom: 1\nlo: -1\ntrunc: 9\n-1 1\n{body}"
+    got = _outcome(text)
+    with mock.patch.object(qseries, "parse_rational", oracle_parse_rational):
+        expected = _outcome(text)
+    assert got == expected
+
+
+@given(_LITERALS)
+def test_parse_rational_reads_an_integer_as_an_int(text):
+    try:
+        expected = oracle_parse_rational(text)
+    except ParseError as exc:
+        with pytest.raises(ParseError) as err:
+            parse_rational(text)
+        assert str(err.value) == str(exc)
+        return
+    got = parse_rational(text)
+    assert got == expected
+    assert type(got) is (int if text.lstrip("+-").isdecimal() else Fraction)
+
+
+def oracle_prefix_mismatch(series, stem):
+    """The loader's message for the first published coefficient that the
+    series gets wrong, one coefficient at a time; None if there is none."""
+    literals = PUBLISHED_PREFIXES[stem]
+    for n in range(-1, PUBLISHED_DEPTH[stem] + 1):
+        if series.coefficient(n) != literals.get(n, 0):
+            return (f"{stem}: coefficient of q^{n} is {series.coefficient(n)}, "
+                    f"bundled reference says {literals.get(n, 0)}")
+    return None
+
+
+def test_published_prefix_is_compared_as_one_vector(tmp_path, monkeypatch):
+    packaged = {stem: load_entry(stem) for stem in PUBLISHED_PREFIXES}
+    monkeypatch.setenv("G0WB_DATA", str(tmp_path))
+    rng = random.Random(12)
+    for stem, entry in packaged.items():
+        series, label = entry.series, entry.meta.label
+        for _ in range(12):
+            h = series
+            for _ in range(rng.randint(1, 2)):
+                h = _perturbed(h, rng.randint(-1, min(PUBLISHED_DEPTH[stem] + 2, h.trunc)),
+                               rng.choice([-3, -1, 1, 2]))
+            (tmp_path / f"{stem}.qexp").write_text(emit_qexp(h, label), encoding="utf-8")
+            expected = oracle_prefix_mismatch(h, stem)
+            if expected is None:
+                assert load_entry(stem).series == h
+            else:
+                with pytest.raises(CorruptCorpus) as err:
+                    load_entry(stem)
+                assert str(err.value) == expected
+    # a term below q^-1 is no published coefficient either
+    (tmp_path / "j.qexp").write_text(
+        emit_qexp(_perturbed(packaged["j"].series, -2, 1), "J"), encoding="utf-8")
+    with pytest.raises(CorruptCorpus, match=r"j: coefficient of q\^-2 is 1, bundled reference says 0"):
+        load_entry("j")
+
+
+# -- the fiction screen ----------------------------------------------------------------
+
+def test_admissible_xi_matches_the_24th_power():
+    one = CyclotomicNumber.one()
+    cases = [CyclotomicNumber.zero()] + [CyclotomicNumber.from_rational(Fraction(a, b))
+                                         for a, b in ((1, 1), (-1, 1), (2, 1), (1, 2), (-1, 3))]
+    rng = random.Random(13)
+    for n in range(1, 61):
+        xi = CyclotomicNumber.root_of_unity(n, 1)
+        # every 24th root of unity that is a power of xi_N, and random powers
+        for k in range(0, n, n // math.gcd(n, 24)):
+            root = CyclotomicNumber.root_of_unity(n, k)
+            cases += [root, -root]
+        for k in rng.sample(range(n), min(n, 3)):
+            root = CyclotomicNumber.root_of_unity(n, k)
+            cases += [root, -root, root * 2, root + xi]
+    for xi in cases:
+        assert _is_admissible_xi(xi) == (xi.is_zero() or xi ** 24 == one), xi
+
+
+def test_admissible_xi_at_conductor_997_takes_no_power():
+    xi = CyclotomicNumber.root_of_unity(997, 1)
+    start = time.perf_counter()
+    assert not _is_admissible_xi(xi)
+    assert time.perf_counter() - start < 0.05
+
+
+def _random_moonshine(rng, conductor):
+    """q^-1 + xi*q, and with probability 1/2 one or two more terms, over
+    Q[xi_conductor], determined through q^2..q^40."""
+    trunc = rng.randint(2, 40)
+    def number():
+        return rng.choice([0, 0, 1, -1, Fraction(1, 2), 3]) * CyclotomicNumber.root_of_unity(
+            conductor, rng.randrange(conductor))
+    coeffs = {-1: 1, 1: number()}
+    if rng.random() < 0.5:
+        for _ in range(rng.randint(1, 2)):
+            coeffs[rng.randint(2, trunc)] = number()
+    return PuiseuxSeries.make(coeffs, trunc=trunc, conductor=conductor)
+
+
+def test_detect_fiction_matches_the_subtraction():
+    rng = random.Random(11)
+    for conductor in (1, 3, 24):
+        for _ in range(200):
+            h = _random_moonshine(rng, conductor)
+            assert detect_fiction(h) == oracle_detect_fiction(h), h
+
+
+# -- classify's report from the build --------------------------------------------------
+
+def _perturbed(h, exponent, delta):
+    coeffs = dict(h.coeffs)
+    coeffs[exponent] = coeffs.get(exponent, 0) + delta
+    return PuiseuxSeries.make(coeffs, trunc=h.trunc, conductor=h.conductor)
+
+
+def _twisted_j(n, depth):
+    """h_N = xi_N * J(tau + 1/N)."""
+    return PuiseuxSeries.make(
+        {k: c * CyclotomicNumber.root_of_unity(n, k + 1)
+         for k, c in normalized_j(depth).coeffs.items()}, trunc=depth, conductor=n)
+
+
+def _classify_cases():
+    j120 = normalized_j(120)
+    yield from ((f"j120-{m}", j120, m) for m in range(2, 8))
+    for stem in PUBLISHED_PREFIXES:
+        series = load_entry(stem).series
+        yield from ((f"{stem}-{m}", series, m) for m in range(2, 6))
+    for stem in ("j", "g0_2"):
+        series = load_entry(stem).series
+        for exponent, delta in ((1, 1), (4, -7), (23, 2), (series.trunc - 1, -1),
+                                (series.trunc, 5)):
+            h = _perturbed(series, exponent, delta)
+            yield from ((f"{stem}+{delta}q^{exponent}-{m}", h, m) for m in range(2, 6))
+    for n, m in ((3, 2), (3, 5), (24, 5)):
+        yield f"h{n}-{m}", _twisted_j(n, required_truncation(m)), m
+
+
+def test_classify_reports_equal_build_then_verify():
+    for name, h, m in _classify_cases():
+        notes, oracle_notes = [], []
+        expected = oracle_test_order(h, m, oracle_notes)
+        assert _test_order(h, m, notes) == expected, name
+        assert notes == oracle_notes, name
+        (order, report), = classify(h, [m]).orders_tested
+        assert (order, report) == (m, expected), name
+
+
+@pytest.mark.parametrize("n, m", [(3, 2), (3, 4), (3, 5), (24, 5), (24, 7)])
+def test_twisted_build_bound_is_the_verified_depth(n, m):
+    h = _twisted_j(n, required_truncation(m) + 3)
+    poly, bound = _build(h, m, True)
+    report = verify_modular_equation(h, poly, m, generalised=True)
+    assert (report.status, report.verified_to) == ("consistent", bound)
 
 
 # -- value reports ---------------------------------------------------------------------
