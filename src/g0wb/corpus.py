@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from importlib import resources
 
 from .errors import CorruptCorpus, ParseError, ShapeError
+from .exactnum import _square_and_multiply
 from .qseries import PuiseuxSeries, SeriesMeta, compare_to_order, parse_qexp
 
 DATA_ENV = "G0WB_DATA"
@@ -143,16 +144,7 @@ def _dict_mul(a: dict[int, int], b: dict[int, int], top: int) -> dict[int, int]:
 
 
 def _dict_pow(base: dict[int, int], exponent: int, top: int) -> dict[int, int]:
-    result = {0: 1}
-    b = dict(base)
-    e = exponent
-    while e:
-        if e & 1:
-            result = _dict_mul(result, b, top)
-        e >>= 1
-        if e:
-            b = _dict_mul(b, b, top)
-    return result
+    return _square_and_multiply(base, exponent, {0: 1}, lambda a, b: _dict_mul(a, b, top))
 
 
 def _dict_invert(series: dict[int, int], top: int) -> dict[int, int]:

@@ -92,10 +92,15 @@ def _poly_divmod(num, den) -> tuple[list, list]:
         if c:
             for i, d in enumerate(den):
                 num[shift + i] -= c * d
-    r = num[: len(den) - 1]
-    while r and r[-1] == 0:
-        r.pop()
-    return q, r
+    return q, _trim(num[: len(den) - 1])
+
+
+def _trim(p) -> list:
+    """p as a list without its trailing zeros."""
+    p = list(p)
+    while p and not p[-1]:
+        p.pop()
+    return p
 
 
 def _convolve(a: list, b: list, n: int) -> list:
@@ -141,16 +146,15 @@ def _integral(entries) -> tuple[list[int], int]:
 def _promote(vec: list, basis: int, target: int, power: int = 1) -> list:
     """Flat blocks of power-basis coefficients for conductor ``basis``,
     rewritten on the conductor-``target`` basis (``basis`` divides
-    ``target``) after xi -> xi^power."""
+    ``target``) after xi -> xi^power.  ``power`` is prime to ``basis``
+    (``galois`` checks it; every other caller passes 1), so the powers
+    i * power * (target / basis) mod target of the basis entries are distinct."""
     if basis == target and power == 1 or not vec:
         return vec
-    phi, wide, table = euler_phi(basis), euler_phi(target), _power_table(target)
-    out = [0] * (len(vec) // phi * wide)
+    phi, raw = euler_phi(basis), [None] * target
     for i in range(phi):
-        for j, r in enumerate(table[i * power * (target // basis) % target]):
-            if r:
-                out[j::wide] = map(add, out[j::wide], map(mul, vec[i::phi], repeat(r)))
-    return out
+        raw[i * power * (target // basis) % target] = vec[i::phi]
+    return _fold(raw, euler_phi(target), target, len(vec) // phi)
 
 
 def _fold(raw: list, phi: int, basis: int, n: int) -> list:
@@ -336,12 +340,7 @@ class CyclotomicNumber:
         return CyclotomicNumber(self.conductor, inv[: len(self.coeffs)])
 
     def __truediv__(self, other) -> CyclotomicNumber:
-        other = _coerce(other)
-        if other.is_zero():
-            raise ZeroDivisionError("division by zero cyclotomic number")
-        if self.conductor == 1 and other.conductor == 1:
-            return CyclotomicNumber(1, (self.coeffs[0] / other.coeffs[0],))
-        return self * other.inverse()
+        return self * _coerce(other).inverse()
 
     def __rtruediv__(self, other) -> CyclotomicNumber:
         return _coerce(other) / self
@@ -409,19 +408,13 @@ def _half_ext_gcd(a, modulus):
 
     Dense Fraction polynomials, ascending coefficients.
     """
-    def trim(p):
-        p = list(p)
-        while p and p[-1] == 0:
-            p.pop()
-        return p
-
-    r0, r1 = trim(a), trim(modulus)
+    r0, r1 = _trim(a), _trim(modulus)
     s0, s1 = [_ONE], []
     while r1:
         q, r = _poly_divmod(r0, r1)
         r0, r1 = r1, r
         qs = _convolve(q, s1, len(q) + len(s1) - 1) if q and s1 else []
-        s0, s1 = s1, trim(map(sub, s0 + [0] * (len(qs) - len(s0)), qs + [0] * (len(s0) - len(qs))))
+        s0, s1 = s1, _trim(map(sub, s0 + [0] * (len(qs) - len(s0)), qs + [0] * (len(s0) - len(qs))))
     return r0, s0
 
 

@@ -25,8 +25,8 @@ from .errors import (
 )
 from .exactnum import CyclotomicNumber, _convolve, _fold, _power_table, _promote, euler_phi
 from .matrices import IntMatrix
-from .modeq import (ModularPolynomial, VerificationReport, _build, check_order,
-                    verify_modular_equation)
+from .modeq import (MAX_ORDER_WORK, MAX_TARGET, ModularPolynomial, VerificationReport, _build,
+                    check_order, verify_modular_equation)
 from .qseries import PuiseuxSeries, _scalar, substitute_coset
 
 @dataclass(frozen=True)
@@ -75,6 +75,8 @@ def classify(h: PuiseuxSeries, orders: Iterable[int]) -> Classification:
     All orders consistent -> candidate (to the tested depth); any failed
     construction or verification -> inconsistent; not enough coefficients
     for some order -> undetermined, with the required depth in the notes.
+    Orders whose work, the sum of psi(m)^2, exceeds MAX_ORDER_WORK are
+    refused before any build.
     """
     if not h.is_moonshine_shape():
         raise ShapeError("classification needs q^-1 + O(q) input")
@@ -88,6 +90,10 @@ def classify(h: PuiseuxSeries, orders: Iterable[int]) -> Classification:
         notes.append(
             f"two-term series with xi = {xi.literal()}: xi^24 != 1, not a degenerate solution")
     order_list = sorted(set(int(m) for m in orders))
+    work = sum(check_order(m) ** 2 for m in order_list)
+    if work > MAX_ORDER_WORK:
+        raise ValueError(f"orders need sum psi(m)^2 = {work}, which exceeds the largest "
+                         f"supported {MAX_ORDER_WORK}")
     reports = [(m, _test_order(h, m, notes)) for m in order_list]
     statuses = [r.status for _, r in reports]
     if any(s == "inconsistent" for s in statuses):
@@ -140,13 +146,16 @@ def bootstrap_extend(h_prefix: PuiseuxSeries, poly: ModularPolynomial, m: int,
     must vanish, else no extension exists; this also re-checks everything
     the previous block solved.  The result is re-verified against the
     polynomial in full before being returned; a target too shallow for
-    that check raises InsufficientTruncation.
+    that check raises InsufficientTruncation, and one above MAX_TARGET is
+    refused before any work.
     """
     if not h_prefix.is_moonshine_shape():
         raise ShapeError("bootstrap needs a q^-1 + O(q) seed")
     check_order(m, poly)
     if target <= h_prefix.trunc:
         return h_prefix.truncate(target)
+    if target > MAX_TARGET:
+        raise ValueError(f"target {target} exceeds the largest supported target {MAX_TARGET}")
     d_dx = poly.derivative("x")
     d_dy = poly.derivative("y")
     monomials = [key for key, c in poly.coeffs.items() if not c.is_zero()]

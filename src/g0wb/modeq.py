@@ -39,7 +39,7 @@ from .errors import (
     ParseError,
     ShapeError,
 )
-from .exactnum import (MAX_CONDUCTOR, CyclotomicNumber, _read_header, parse_cyclotomic,
+from .exactnum import (MAX_CONDUCTOR, CyclotomicNumber, _read_header, _trim, parse_cyclotomic,
                        prime_divisors)
 from .qseries import PuiseuxSeries, _linear, _reweighted
 
@@ -47,18 +47,24 @@ Coeff = CyclotomicNumber
 
 # Largest order a build, verification or bootstrap accepts.
 MAX_ORDER = 100
+# Largest sum of psi(m)^2 over the orders of one classify: psi(90)^2, the work
+# of the costliest single order (a build takes about 9e-5 s per psi(m)^2).
+MAX_ORDER_WORK = 46_656
+# Largest bootstrap target: j from q^3 at order 2 takes 9-12 s to q^2000.
+MAX_TARGET = 2000
 
 
-def check_order(m: int, poly: ModularPolynomial | None = None) -> None:
+def check_order(m: int, poly: ModularPolynomial | None = None) -> int:
     """Refuse an order above MAX_ORDER before any work (psi factors m by
     trial division, and a build's Newton sums grow as psi(m)^2 series
     products even for a two-term input), then an input polynomial whose
-    degrees are not psi(m)."""
+    degrees are not psi(m); return psi(m)."""
     if m > MAX_ORDER:
         raise ValueError(f"order {m} exceeds the largest supported order {MAX_ORDER}")
-    if poly is not None and (poly.degx != psi(m) or poly.degy != psi(m)):
-        raise ValueError(
-            f"polynomial degrees ({poly.degx}, {poly.degy}) != psi({m}) = {psi(m)}")
+    n = psi(m)
+    if poly is not None and (poly.degx != n or poly.degy != n):
+        raise ValueError(f"polynomial degrees ({poly.degx}, {poly.degy}) != psi({m}) = {n}")
+    return n
 
 
 def psi(m: int) -> int:
@@ -175,9 +181,7 @@ class UnivariatePoly:
     def from_list(values) -> UnivariatePoly:
         coeffs = [v if isinstance(v, CyclotomicNumber) else CyclotomicNumber.from_rational(v)
                   for v in values]
-        while coeffs and coeffs[-1].is_zero():
-            coeffs.pop()
-        return UnivariatePoly(tuple(coeffs))
+        return UnivariatePoly(tuple(_trim(coeffs)))
 
     def degree(self) -> int:
         return len(self.coeffs) - 1

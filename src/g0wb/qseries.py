@@ -614,7 +614,3 @@ def parse_qexp(text: str) -> tuple[PuiseuxSeries, str]:
     except ValueError as exc:
         raise ParseError(str(exc)) from exc
     return series, label
-
-
-def format_exponent(e: Fraction) -> str:
-    return str(e.numerator) if e.denominator == 1 else f"{e.numerator}/{e.denominator}"

@@ -9,12 +9,11 @@ render to byte-equal output.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
+from .exactnum import format_rational
 from .hauptmodul import Classification
 from .modeq import VerificationReport
 from .numeric import KappaSelection, ResidualPanel
-from .qseries import format_exponent
 
 
 @dataclass(frozen=True)
@@ -35,41 +34,34 @@ class RenderedReport:
         return f"{body}\n---\n{machine}\n"
 
 
-def _fmt_exponent(value) -> str:
-    return format_exponent(Fraction(value))
-
-
-def _verification_body(rep: VerificationReport) -> str:
+def _verification(rep: VerificationReport):
+    """The body and the machine pairs of one order's report."""
     lines = []
     if rep.status == "consistent":
-        lines.append(f"CONSISTENT to q^{_fmt_exponent(rep.verified_to)}")
+        lines.append(f"CONSISTENT to q^{format_rational(rep.verified_to)}")
     elif rep.status == "inconsistent":
         e, expected, actual = rep.first_failure
-        lines.append(f"INCONSISTENT at q^{_fmt_exponent(e)}")
+        lines.append(f"INCONSISTENT at q^{format_rational(e)}")
         lines.append(f"  expected {expected.literal()}")
         lines.append(f"  actual   {actual.literal()}")
     else:
         lines.append("INSUFFICIENT DATA")
-        lines.append(f"  determined only through q^{_fmt_exponent(rep.verified_to)};"
+        lines.append(f"  determined only through q^{format_rational(rep.verified_to)};"
                      " supply a deeper expansion")
-    return "\n".join(lines)
-
-
-def _verification_machine(rep: VerificationReport) -> list[tuple[str, str]]:
     pairs = [
         ("order", str(rep.order)),
         ("status", rep.status),
-        ("verified_to", _fmt_exponent(rep.verified_to)),
+        ("verified_to", format_rational(rep.verified_to)),
     ]
     if rep.first_failure is not None:
         e, expected, actual = rep.first_failure
-        pairs.append(("failure_exponent", _fmt_exponent(e)))
+        pairs.append(("failure_exponent", format_rational(e)))
         pairs.append(("failure_expected", expected.literal()))
         pairs.append(("failure_actual", actual.literal()))
-    return pairs
+    return "\n".join(lines), pairs
 
 
-def _classification_sections(c: Classification):
+def _classification(c: Classification):
     lines = [f"verdict: {c.verdict}"]
     if c.fiction_xi is not None:
         xi = c.fiction_xi
@@ -84,27 +76,23 @@ def _classification_sections(c: Classification):
         lines.append(f"modular fiction: {shape}")
     sections = [("classification", "\n".join(lines))]
     for m, rep in c.orders_tested:
-        sections.append((f"order {m}", _verification_body(rep)))
+        sections.append((f"order {m}", _verification(rep)[0]))
     if c.notes:
         sections.append(("notes", c.notes))
-    return sections
-
-
-def _classification_machine(c: Classification) -> list[tuple[str, str]]:
     orders = ",".join(str(m) for m, _ in c.orders_tested)
     verified = [rep.verified_to for _, rep in c.orders_tested]
-    pairs = [
+    machine = [
         ("verdict", c.verdict),
         ("xi", c.fiction_xi.literal() if c.fiction_xi is not None else "none"),
         ("orders", orders),
-        ("verified_to", _fmt_exponent(min(verified)) if verified else ""),
+        ("verified_to", format_rational(min(verified)) if verified else ""),
     ]
     for m, rep in c.orders_tested:
-        pairs.append((f"order_{m}_status", rep.status))
-    return pairs
+        machine.append((f"order_{m}_status", rep.status))
+    return sections, machine
 
 
-def _panel_sections(panel: ResidualPanel):
+def _panel(panel: ResidualPanel):
     width = max((len(r.label) for r in panel.rows), default=0)
     lines = []
     for row in panel.rows:
@@ -113,31 +101,27 @@ def _panel_sections(panel: ResidualPanel):
                      f"  (tolerance {row.tolerance:.1e})  {verdict}")
     if panel.notes:
         lines.append(panel.notes)
-    return [(panel.title, "\n".join(lines))]
-
-
-def _panel_machine(panel: ResidualPanel) -> list[tuple[str, str]]:
-    pairs: list[tuple[str, str]] = [("rows", str(len(panel.rows)))]
+    machine: list[tuple[str, str]] = [("rows", str(len(panel.rows)))]
     for i, row in enumerate(panel.rows, 1):
-        pairs.append((f"label_{i}", row.label))
-        pairs.append((f"residual_{i}", f"{row.residual:.6e}"))
-        pairs.append((f"pass_{i}", "true" if row.passed else "false"))
-    return pairs
+        machine.append((f"label_{i}", row.label))
+        machine.append((f"residual_{i}", f"{row.residual:.6e}"))
+        machine.append((f"pass_{i}", "true" if row.passed else "false"))
+    return [(panel.title, "\n".join(lines))], machine
 
 
 def render(obj, footnotes: tuple[str, ...] = ()) -> RenderedReport:
     """Render a report-like object; extra provenance strings become
     footnotes."""
     if isinstance(obj, VerificationReport):
-        sections = [(f"order-{obj.order} modular equation", _verification_body(obj))]
-        machine = _verification_machine(obj)
+        body, machine = _verification(obj)
+        sections = [(f"order-{obj.order} modular equation", body)]
     elif isinstance(obj, Classification):
-        sections, machine = _classification_sections(obj), _classification_machine(obj)
+        sections, machine = _classification(obj)
     elif isinstance(obj, KappaSelection):
-        sections, machine = _panel_sections(obj.panel), _panel_machine(obj.panel)
+        sections, machine = _panel(obj.panel)
         machine.append(("winner", str(obj.winner) if obj.winner is not None else "none"))
     elif isinstance(obj, ResidualPanel):
-        sections, machine = _panel_sections(obj), _panel_machine(obj)
+        sections, machine = _panel(obj)
     else:
         raise TypeError(f"cannot render {type(obj).__name__}")
     return RenderedReport(tuple(sections), tuple(footnotes), tuple(machine))

@@ -503,6 +503,20 @@ class TestUnboundedInputs:
         assert err.startswith("usage error: ") and err.count("\n") == 1
         assert "largest supported order 100" in err
 
+    @pytest.mark.parametrize("argv, message", [
+        (("classify", "--series", "data/j.qexp", "--orders", ",".join(map(str, range(2, 101)))),
+         "orders need sum psi(m)^2 = 831465, which exceeds the largest supported 46656"),
+        (("bootstrap", "--series", "data/j.qexp", "--modpoly", "f.mpoly", "--order", "2",
+          "--target", "100000"), "target 100000 exceeds the largest supported target 2000"),
+    ])
+    def test_work_above_the_cap(self, capsys, tmp_path, argv, message):
+        (tmp_path / "f.mpoly").write_text(emit_mpoly(GOLDEN_ORDER2), encoding="utf-8")
+        argv = [str(tmp_path / a) if a == "f.mpoly" else a for a in argv]
+        start = time.perf_counter()
+        code, out, err = run(capsys, *argv)
+        assert time.perf_counter() - start < 1.0
+        assert (code, out, err) == (2, "", f"usage error: {message}\n")
+
     @pytest.mark.parametrize("prime", ["1000003", "1009"])
     def test_prime_past_the_conductor_cap(self, capsys, prime):
         start = time.perf_counter()

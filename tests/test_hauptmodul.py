@@ -18,7 +18,7 @@ from g0wb.hauptmodul import (
     detect_fiction,
 )
 from g0wb.matrices import IDENTITY, IntMatrix
-from g0wb.modeq import build_modular_polynomial
+from g0wb.modeq import MAX_ORDER, MAX_ORDER_WORK, MAX_TARGET, build_modular_polynomial, psi
 from g0wb.qseries import PuiseuxSeries, compare_to_order
 
 
@@ -88,6 +88,20 @@ class TestClassify:
             result = classify(corpus_j.truncate(depth), {2, 3})
             assert result.verdict == "hauptmodul-candidate"
 
+    def test_order_list_work_is_bounded(self, corpus_j):
+        # the bound is the work of the costliest single order, so every single
+        # order passes; a shallow series makes each order undetermined at once
+        assert MAX_ORDER_WORK == max(psi(m) ** 2 for m in range(1, MAX_ORDER + 1)) == psi(90) ** 2
+        shallow = corpus_j.truncate(10)
+        for m in range(2, MAX_ORDER + 1):
+            assert classify(shallow, [m]).verdict == "undetermined"
+        assert sum(psi(m) ** 2 for m in range(2, 39)) <= MAX_ORDER_WORK
+        assert classify(shallow, range(2, 39)).verdict == "undetermined"
+        with pytest.raises(ValueError, match="sum psi\\(m\\)\\^2 = 48641, "):
+            classify(shallow, range(2, 40))
+        # a fiction is screened before any order is looked at
+        assert classify(fiction(1), range(2, 101)).verdict == "fiction"
+
 
 class TestBootstrap:
     def test_roundtrip_through_corpus(self, corpus_j):
@@ -120,6 +134,10 @@ class TestBootstrap:
     def test_target_below_seed_truncates(self, corpus_j):
         out = bootstrap_extend(corpus_j, GOLDEN_ORDER2, 2, 10)
         assert out.trunc == 10
+
+    def test_target_above_the_cap_is_refused(self, corpus_j):
+        with pytest.raises(ValueError, match=f"largest supported target {MAX_TARGET}$"):
+            bootstrap_extend(corpus_j.truncate(3), GOLDEN_ORDER2, 2, MAX_TARGET + 1)
 
 
 class TestReplication:

@@ -16,7 +16,17 @@ second copies they replaced, kept here as oracles:
   test of h's vector (``detect_fiction``), and xi^24 == 1, now a comparison
   with the 24th roots of unity of the power table (``_is_admissible_xi``);
 - an order of ``classify`` tested by building its polynomial and verifying
-  it against h, now the build's own residual bound (``_test_order``).
+  it against h, now the build's own residual bound (``_test_order``);
+- the rewrite of power-basis blocks on a larger basis, row by row through
+  the power table, now one ``_fold`` (``exactnum._promote``);
+- the square-and-multiply loop of the corpus oracles, now
+  ``exactnum._square_and_multiply`` (``corpus._dict_pow``);
+- the exponent text of a report, now ``exactnum.format_rational``;
+- three trailing-zero trims, now ``exactnum._trim``;
+- the rational shortcut of ``CyclotomicNumber.__truediv__``, now a product
+  with ``inverse()``;
+- two report helpers per report type, one for its sections and one for its
+  machine block, now one per type (``report.render``).
 
 Also the value reports of ``eta`` and ``eisenstein`` without ``--law``,
 which share one emitter with ``eval``."""
@@ -26,6 +36,8 @@ import random
 import re
 import time
 from fractions import Fraction
+from itertools import repeat
+from operator import add, mul, sub
 from unittest import mock
 
 import pytest
@@ -40,13 +52,18 @@ from g0wb.braid import (
 )
 from g0wb import qseries
 from g0wb.cli import main
-from g0wb.corpus import PUBLISHED_DEPTH, PUBLISHED_PREFIXES, load_entry, normalized_j
+from g0wb.corpus import (PUBLISHED_DEPTH, PUBLISHED_PREFIXES, _dict_mul, _dict_pow, load_entry,
+                         normalized_j)
 from g0wb.errors import (CorruptCorpus, ExpressFailure, InsufficientTruncation, NotCoprime,
                          ParseError)
-from g0wb.exactnum import CyclotomicNumber, euler_phi, parse_cyclotomic, parse_rational
-from g0wb.hauptmodul import _is_admissible_xi, _test_order, classify, detect_fiction
+from g0wb.exactnum import (CyclotomicNumber, _convolve, _half_ext_gcd, _poly_divmod,
+                           _power_table, _promote, _trim, cyclotomic_polynomial, euler_phi,
+                           format_rational, parse_cyclotomic, parse_rational)
+from g0wb.hauptmodul import (Classification, _is_admissible_xi, _test_order, classify,
+                             detect_fiction)
 from g0wb.modeq import (
     ModularPolynomial,
+    UnivariatePoly,
     VerificationReport,
     _build,
     build_modular_polynomial,
@@ -55,7 +72,9 @@ from g0wb.modeq import (
     symmetry_check,
     verify_modular_equation,
 )
+from g0wb.numeric import KappaSelection, ResidualPanel, ResidualRow, select_eta_kappa
 from g0wb.qseries import PuiseuxSeries, emit_qexp, parse_qexp
+from g0wb.report import RenderedReport, render
 
 
 # -- the replaced loops -----------------------------------------------------------
@@ -526,3 +545,301 @@ def test_value_reports_without_law(capsys, argv, name):
     assert line.endswith(f"  (tail {tail:.3e})")
     assert "terms" not in line
     assert value != 0 and tail >= 0
+
+
+# -- exactnum helpers: promotion, powers, trims, division -------------------------------
+
+def oracle_promote(vec, basis, target, power=1):
+    """Each basis entry i scattered through the power-table row of its
+    image xi^(i * power * target / basis)."""
+    if basis == target and power == 1 or not vec:
+        return vec
+    phi, wide, table = euler_phi(basis), euler_phi(target), _power_table(target)
+    out = [0] * (len(vec) // phi * wide)
+    for i in range(phi):
+        for j, r in enumerate(table[i * power * (target // basis) % target]):
+            if r:
+                out[j::wide] = map(add, out[j::wide], map(mul, vec[i::phi], repeat(r)))
+    return out
+
+
+def test_promote_matches_the_row_scatter():
+    rng = random.Random(12)
+    for target in range(1, 121):
+        for basis in (d for d in range(1, target + 1) if target % d == 0):
+            phi = euler_phi(basis)
+            for power in (p for p in range(1, basis + 1) if math.gcd(p, basis) == 1):
+                vec = [rng.randint(-9, 9) for _ in range(phi * rng.randint(0, 2))]
+                got = _promote(vec, basis, target, power)
+                assert got == oracle_promote(vec, basis, target, power), (basis, target, power)
+
+
+def oracle_dict_pow(base, exponent, top):
+    result = {0: 1}
+    b = dict(base)
+    e = exponent
+    while e:
+        if e & 1:
+            result = _dict_mul(result, b, top)
+        e >>= 1
+        if e:
+            b = _dict_mul(b, b, top)
+    return result
+
+
+def test_dict_pow_matches_the_loop():
+    rng = random.Random(13)
+    for _ in range(12):
+        top = rng.randint(0, 25)
+        base = {rng.randint(0, 12): rng.randint(-5, 5) for _ in range(rng.randint(0, 6))}
+        for exponent in range(31):
+            got = _dict_pow(base, exponent, top)
+            assert list(got.items()) == list(oracle_dict_pow(base, exponent, top).items())
+
+
+def oracle_format_exponent(value):
+    e = Fraction(value)
+    return str(e.numerator) if e.denominator == 1 else f"{e.numerator}/{e.denominator}"
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.fractions() | st.integers())
+def test_format_rational_matches_the_exponent_text(value):
+    assert format_rational(value) == oracle_format_exponent(value)
+
+
+def oracle_trim(p):
+    """The loop of the remainder trim, the Euclid trim and ``from_list``."""
+    p = list(p)
+    while p and p[-1] == 0:
+        p.pop()
+    return p
+
+
+def oracle_poly_divmod(num, den):
+    num, lead = list(num), den[-1]
+    q = [0] * max(len(num) - len(den) + 1, 0)
+    for shift in range(len(num) - len(den), -1, -1):
+        c = num[shift + len(den) - 1]
+        q[shift] = c = c if lead == 1 else c / lead
+        if c:
+            for i, d in enumerate(den):
+                num[shift + i] -= c * d
+    return q, oracle_trim(num[: len(den) - 1])
+
+
+def oracle_half_ext_gcd(a, modulus):
+    r0, r1 = oracle_trim(a), oracle_trim(modulus)
+    s0, s1 = [Fraction(1)], []
+    while r1:
+        q, r = oracle_poly_divmod(r0, r1)
+        r0, r1 = r1, r
+        qs = _convolve(q, s1, len(q) + len(s1) - 1) if q and s1 else []
+        s0, s1 = s1, oracle_trim(map(sub, s0 + [0] * (len(qs) - len(s0)),
+                                     qs + [0] * (len(s0) - len(qs))))
+    return r0, s0
+
+
+def oracle_from_list(values):
+    coeffs = [v if isinstance(v, CyclotomicNumber) else CyclotomicNumber.from_rational(v)
+              for v in values]
+    while coeffs and coeffs[-1].is_zero():
+        coeffs.pop()
+    return UnivariatePoly(tuple(coeffs))
+
+
+def _zero_tailed(rng, entry):
+    """A list of 0-6 entries followed by 0-4 zeros; some lists are all zero."""
+    head = [entry() for _ in range(rng.randint(0, 6))]
+    return head + [0] * rng.randint(0, 4)
+
+
+def test_trims_match_the_loops():
+    rng = random.Random(14)
+    rationals = lambda: rng.choice([0, 0, 1, -3, Fraction(2, 7), Fraction(-5, 3)])
+    for _ in range(400):
+        values = _zero_tailed(rng, rationals)
+        assert _trim(values) == oracle_trim(values)
+        den = _zero_tailed(rng, rationals) + [rng.choice([1, 2, Fraction(-3, 4)])]
+        assert _poly_divmod(values, den) == oracle_poly_divmod(values, den)
+    for n in (3, 5, 8, 12, 24):
+        modulus = [Fraction(c) for c in cyclotomic_polynomial(n)]
+        for _ in range(20):
+            a = [Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(euler_phi(n))]
+            if any(a):
+                assert _half_ext_gcd(a, modulus) == oracle_half_ext_gcd(a, modulus)
+
+
+def test_from_list_matches_the_loop():
+    rng = random.Random(15)
+    for conductor in (1, 3, 5, 8, 24):
+        zero = CyclotomicNumber(conductor, [0] * euler_phi(conductor))
+        for _ in range(50):
+            number = lambda: rng.choice(
+                [0, zero, Fraction(1, 2), CyclotomicNumber.root_of_unity(conductor, 1) * 3])
+            values = _zero_tailed(rng, number) + [zero] * rng.randint(0, 3)
+            got = UnivariatePoly.from_list(values)
+            assert got == oracle_from_list(values)
+            assert [c.conductor for c in got.coeffs] == [
+                c.conductor for c in oracle_from_list(values).coeffs]
+
+
+def test_division_is_the_product_with_the_inverse():
+    rng = random.Random(16)
+    for conductor in (1, 3, 8, 24):
+        phi = euler_phi(conductor)
+        for _ in range(30):
+            a, b = (CyclotomicNumber(conductor, [Fraction(rng.randint(-6, 6), rng.randint(1, 4))
+                                                 for _ in range(phi)]) for _ in range(2))
+            if b.is_zero():
+                continue
+            quotient = a / b
+            assert quotient == a * b.inverse() and quotient * b == a
+            assert quotient.conductor == conductor
+            assert 5 / b == b.inverse() * 5
+        with pytest.raises(ZeroDivisionError):
+            CyclotomicNumber.root_of_unity(conductor, 1) / 0
+    assert (CyclotomicNumber.from_rational(Fraction(3, 4)) / Fraction(-9, 2)).coeffs == (
+        Fraction(-1, 6),)
+
+
+# -- report rendering ------------------------------------------------------------------
+
+def oracle_verification_body(rep):
+    lines = []
+    if rep.status == "consistent":
+        lines.append(f"CONSISTENT to q^{oracle_format_exponent(rep.verified_to)}")
+    elif rep.status == "inconsistent":
+        e, expected, actual = rep.first_failure
+        lines.append(f"INCONSISTENT at q^{oracle_format_exponent(e)}")
+        lines.append(f"  expected {expected.literal()}")
+        lines.append(f"  actual   {actual.literal()}")
+    else:
+        lines.append("INSUFFICIENT DATA")
+        lines.append(f"  determined only through q^{oracle_format_exponent(rep.verified_to)};"
+                     " supply a deeper expansion")
+    return "\n".join(lines)
+
+
+def oracle_verification_machine(rep):
+    pairs = [("order", str(rep.order)), ("status", rep.status),
+             ("verified_to", oracle_format_exponent(rep.verified_to))]
+    if rep.first_failure is not None:
+        e, expected, actual = rep.first_failure
+        pairs.append(("failure_exponent", oracle_format_exponent(e)))
+        pairs.append(("failure_expected", expected.literal()))
+        pairs.append(("failure_actual", actual.literal()))
+    return pairs
+
+
+def oracle_classification_sections(c):
+    lines = [f"verdict: {c.verdict}"]
+    if c.fiction_xi is not None:
+        xi = c.fiction_xi
+        if xi.is_zero():
+            shape = "q^{-1}"
+        elif xi == 1:
+            shape = "q^{-1}+q"
+        elif xi == -1:
+            shape = "q^{-1}-q"
+        else:
+            shape = f"q^{{-1}}+({xi.literal()})q"
+        lines.append(f"modular fiction: {shape}")
+    sections = [("classification", "\n".join(lines))]
+    for m, rep in c.orders_tested:
+        sections.append((f"order {m}", oracle_verification_body(rep)))
+    if c.notes:
+        sections.append(("notes", c.notes))
+    return sections
+
+
+def oracle_classification_machine(c):
+    verified = [rep.verified_to for _, rep in c.orders_tested]
+    pairs = [
+        ("verdict", c.verdict),
+        ("xi", c.fiction_xi.literal() if c.fiction_xi is not None else "none"),
+        ("orders", ",".join(str(m) for m, _ in c.orders_tested)),
+        ("verified_to", oracle_format_exponent(min(verified)) if verified else ""),
+    ]
+    for m, rep in c.orders_tested:
+        pairs.append((f"order_{m}_status", rep.status))
+    return pairs
+
+
+def oracle_panel_sections(panel):
+    width = max((len(r.label) for r in panel.rows), default=0)
+    lines = []
+    for row in panel.rows:
+        verdict = "pass" if row.passed else "FAIL"
+        lines.append(f"{row.label.ljust(width)}  residual {row.residual:.3e}"
+                     f"  (tolerance {row.tolerance:.1e})  {verdict}")
+    if panel.notes:
+        lines.append(panel.notes)
+    return [(panel.title, "\n".join(lines))]
+
+
+def oracle_panel_machine(panel):
+    pairs = [("rows", str(len(panel.rows)))]
+    for i, row in enumerate(panel.rows, 1):
+        pairs.append((f"label_{i}", row.label))
+        pairs.append((f"residual_{i}", f"{row.residual:.6e}"))
+        pairs.append((f"pass_{i}", "true" if row.passed else "false"))
+    return pairs
+
+
+def oracle_render_text(obj, footnotes=()):
+    if isinstance(obj, VerificationReport):
+        sections = [(f"order-{obj.order} modular equation", oracle_verification_body(obj))]
+        machine = oracle_verification_machine(obj)
+    elif isinstance(obj, Classification):
+        sections = oracle_classification_sections(obj)
+        machine = oracle_classification_machine(obj)
+    elif isinstance(obj, KappaSelection):
+        sections, machine = oracle_panel_sections(obj.panel), oracle_panel_machine(obj.panel)
+        machine.append(("winner", str(obj.winner) if obj.winner is not None else "none"))
+    else:
+        sections, machine = oracle_panel_sections(obj), oracle_panel_machine(obj)
+    return RenderedReport(tuple(sections), tuple(footnotes), tuple(machine)).text()
+
+
+def _reports():
+    xi = CyclotomicNumber.root_of_unity(24, 5)
+    yield VerificationReport(3, Fraction(41), "consistent")
+    yield VerificationReport(2, Fraction(-7, 2), "inconsistent",
+                             first_failure=(Fraction(-7, 2), CyclotomicNumber.zero(), xi * 3))
+    yield VerificationReport(5, Fraction(17, 24), "inconsistent",
+                             first_failure=(Fraction(1), xi, CyclotomicNumber.from_rational(-2)))
+    yield VerificationReport(4, Fraction(-1), "insufficient-data")
+
+
+def _classifications():
+    for xi in [CyclotomicNumber.zero(), CyclotomicNumber.one(), -CyclotomicNumber.one()] + [
+            CyclotomicNumber.root_of_unity(24, k) for k in (1, 5, 8, 12, 23)]:
+        yield Classification("fiction", fiction_xi=xi, notes=f"exactly {xi.literal()}")
+    reports = list(_reports())
+    yield Classification("hauptmodul-candidate", orders_tested=((3, reports[0]),),
+                         notes="consistent at orders [3]")
+    yield Classification("inconsistent", orders_tested=tuple(zip((2, 3, 5), reports[:3])))
+    yield Classification("undetermined", orders_tested=((3, reports[0]), (4, reports[3])),
+                         notes="order 4: need input determined through q^38")
+    yield Classification("undetermined", notes="no orders requested")
+    j = load_entry("j").series
+    yield classify(j, [2, 3])
+    yield classify(_perturbed(j, 4, -7), [2])
+    yield classify(j, [])
+    yield classify(PuiseuxSeries.make({-1: 1, 1: 1}, trunc=64), [2])
+
+
+def _panels():
+    rows = (ResidualRow("S", 1.5e-13, 1e-9, True), ResidualRow("ST^-1 long", 0.25, 1e-9, False))
+    yield ResidualPanel("eta law", rows, notes="two rows")
+    yield ResidualPanel("empty", ())
+    yield KappaSelection(Fraction(1, 24), ResidualPanel("kappa", rows))
+    yield KappaSelection(None, ResidualPanel("kappa", rows[1:], notes="no winner"))
+    yield select_eta_kappa(terms=60)
+
+
+def test_render_matches_the_two_helpers_per_type():
+    for obj in [*_reports(), *_classifications(), *_panels()]:
+        for footnotes in ((), ("q^-1..q^3: published reference expansion",)):
+            assert render(obj, footnotes).text() == oracle_render_text(obj, footnotes), obj
