@@ -23,7 +23,7 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .errors import MaslovUndefined, ParseError, RequiresPositiveC
-from .exactnum import CyclotomicNumber, _square_and_multiply
+from .exactnum import CyclotomicNumber, _square_and_multiply, format_rational, parse_rational
 from .matrices import IDENTITY, IntMatrix
 
 # Fixed by the numeric multiplier-law selection: of the two candidate
@@ -75,7 +75,7 @@ class BraidWord:
             m = _TOKEN_RE.match(token)
             if not m:
                 raise ParseError(f"bad braid token {token!r}")
-            letters.append((int(m.group(1)), int(m.group(2)) if m.group(2) else 1))
+            letters.append((int(m.group(1)), parse_rational(m.group(2) or "1")))
         return BraidWord.from_letters(letters)
 
     @staticmethod
@@ -95,7 +95,8 @@ class BraidWord:
     def __str__(self) -> str:
         if not self.letters:
             return "<empty>"
-        return " ".join(f"s{g}" if e == 1 else f"s{g}^{e}" for g, e in self.letters)
+        return " ".join(f"s{g}" if e == 1 else f"s{g}^{format_rational(e)}"
+                        for g, e in self.letters)
 
 
 def degree(word: BraidWord) -> int:

@@ -3,8 +3,8 @@
 Every subcommand is a thin adapter over the library: identical inputs give
 identical machine-block values through either route.  Exit codes: 0 for
 success, 1 for a mathematically meaningful failure (an inconsistent
-verification, a fiction mismatch, a failed law), 2 for usage errors, 3 for
-file or data problems.
+verification, a fiction mismatch, a failed law), 2 for a UsageError or an
+argparse error, 3 for file or data problems.
 """
 
 from __future__ import annotations
@@ -17,19 +17,9 @@ from fractions import Fraction
 
 from . import braid as braidmod
 from . import corpus as corpusmod
-from .errors import (
-    BootstrapStalled,
-    CorruptCorpus,
-    ExpressFailure,
-    G0wbError,
-    Inconsistent,
-    InsufficientSeed,
-    InsufficientTruncation,
-    NonConvergent,
-    NotUnimodular,
-    ParseError,
-    ShapeError,
-)
+from .errors import (BootstrapStalled, ExpressFailure, G0wbError, Inconsistent, ParseError,
+                     UsageError)
+from .exactnum import format_rational
 from .hauptmodul import bootstrap_extend, check_replication, classify, congruence_membership
 from .matrices import parse_matrix
 from .modeq import (
@@ -66,8 +56,7 @@ def _read_input(path: str, kind: str) -> str:
     tries = [path] if override is None else [path, os.path.join(override, os.path.basename(path))]
     for candidate in tries:
         if os.path.exists(candidate):
-            with open(candidate, "r", encoding="utf-8") as fh:
-                return fh.read()
+            return corpusmod._read_text(candidate)
     raise OSError(f"no such {kind} file: {path}")
 
 
@@ -111,6 +100,10 @@ def _emit_value(name: str, result, terms: bool = False) -> None:
           + ([("terms", str(result.terms_used))] if terms else []))
 
 
+def _entries(mat) -> str:
+    return ",".join(map(format_rational, mat.entries()))
+
+
 def _write_or_print(text: str, out: str | None) -> None:
     if out is None:
         sys.stdout.write(text)
@@ -145,7 +138,10 @@ def _cmd_verify(args) -> int:
 
 def _cmd_classify(args) -> int:
     series, _, notes = _load_series(args.series)
-    orders = [int(tok) for tok in args.orders.split(",") if tok]
+    try:
+        orders = [int(tok) for tok in args.orders.split(",") if tok]
+    except ValueError as exc:
+        raise UsageError(*exc.args) from exc
     result = classify(series, orders)
     sys.stdout.write(render(result, footnotes=notes).text())
     return EXIT_FAILED if result.verdict == "inconsistent" else EXIT_OK
@@ -253,13 +249,12 @@ def _cmd_eisenstein(args) -> int:
 def _cmd_braid(args) -> int:
     word = braidmod.BraidWord.parse(args.word)
     if args.action == "degree":
-        d = braidmod.degree(word)
-        _emit(f"degree({word}) = {d}", [("degree", str(d))])
+        d = format_rational(braidmod.degree(word))
+        _emit(f"degree({word}) = {d}", [("degree", d)])
         return EXIT_OK
     if args.action == "burau":
         mat = braidmod.burau(word)
-        _emit(f"projection({word}) = {mat}",
-              [("matrix", f"{mat.a},{mat.b},{mat.c},{mat.d}")])
+        _emit(f"projection({word}) = {mat}", [("matrix", _entries(mat))])
         return EXIT_OK
     if args.action == "multiplier":
         mu = braidmod.braid_multiplier(word)
@@ -268,8 +263,8 @@ def _cmd_braid(args) -> int:
         return EXIT_OK
     lifted = braidmod.lift_braid(word)
     mat = lifted.matrix
-    _emit(f"lift({word}) = ({mat}, n={lifted.n})",
-          [("matrix", f"{mat.a},{mat.b},{mat.c},{mat.d}"), ("n", str(lifted.n))])
+    n = format_rational(lifted.n)
+    _emit(f"lift({word}) = ({mat}, n={n})", [("matrix", _entries(mat)), ("n", n)])
     return EXIT_OK
 
 
@@ -284,15 +279,14 @@ def _cmd_quilt(args) -> int:
     if args.group in _BUILTIN_GROUPS and not os.path.exists(args.group):
         table = _BUILTIN_GROUPS[args.group]()
     else:
-        with open(args.group, "r", encoding="utf-8") as fh:
-            table = braidmod.parse_group_table(fh.read())
+        table = braidmod.parse_group_table(corpusmod._read_text(args.group))
     parts = args.start.split(",")
     if len(parts) != 2:
         raise ParseError("--start must be g,h with element labels")
     try:
         pair = (table.index(parts[0].strip()), table.index(parts[1].strip()))
     except KeyError as exc:
-        raise ValueError(exc.args[0]) from exc
+        raise UsageError(exc.args[0]) from exc
     orbit = braidmod.quilt_orbit(pair, table)
     pretty = sorted(f"({table.labels[g]},{table.labels[h]})" for g, h in orbit)
     _emit("orbit of (%s,%s): size %d\n%s" % (parts[0].strip(), parts[1].strip(),
@@ -374,17 +368,13 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (OSError, ParseError, CorruptCorpus, ShapeError,
-            InsufficientTruncation, InsufficientSeed) as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_DATA
+    except UsageError as exc:
+        sys.stderr.write(f"usage error: {exc}\n")
+        return EXIT_USAGE
     except (ExpressFailure, Inconsistent, BootstrapStalled) as exc:
         sys.stderr.write(f"failed: {exc}\n")
         return EXIT_FAILED
-    except (NonConvergent, NotUnimodular, ValueError) as exc:
-        sys.stderr.write(f"usage error: {exc}\n")
-        return EXIT_USAGE
-    except G0wbError as exc:
+    except (OSError, G0wbError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_DATA
 

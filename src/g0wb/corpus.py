@@ -71,12 +71,19 @@ def data_directory() -> str | None:
     return os.environ.get(DATA_ENV)
 
 
+def _read_text(path: str) -> str:
+    """The text of a UTF-8 file; undecodable bytes are a ParseError."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path} is not UTF-8 text: {exc.reason} at byte {exc.start}") from exc
+
+
 def _read_data_file(stem: str) -> str:
     override = data_directory()
     if override is not None:
-        path = os.path.join(override, f"{stem}.qexp")
-        with open(path, "r", encoding="utf-8") as fh:
-            return fh.read()
+        return _read_text(os.path.join(override, f"{stem}.qexp"))
     return (resources.files("g0wb") / "data" / f"{stem}.qexp").read_text("utf-8")
 
 
@@ -119,9 +126,7 @@ def ingest(source: str, require_moonshine: bool = False) -> CorpusEntry:
     if "\n" in source:
         text, origin = source, "<string>"
     else:
-        with open(source, "r", encoding="utf-8") as fh:
-            text = fh.read()
-        origin = source
+        text, origin = _read_text(source), source
     series, label = parse_qexp(text)
     if require_moonshine and not series.is_moonshine_shape():
         raise ShapeError(f"{origin}: series is not of the form q^-1 + O(q)")

@@ -2,6 +2,8 @@
 
 Every failure a caller is expected to branch on gets its own class; anything
 raised with a bare ValueError is a programming error, not a workbench outcome.
+UsageError, also a ValueError, is the one refusal of a request as asked; the
+command line exits 2 on it and on argparse's own errors only.
 """
 
 from __future__ import annotations
@@ -9,6 +11,10 @@ from __future__ import annotations
 
 class G0wbError(Exception):
     """Base class for all workbench errors."""
+
+
+class UsageError(G0wbError, ValueError):
+    """A documented refusal of the request itself (exit 2)."""
 
 
 class NotCoprime(G0wbError):
@@ -63,7 +69,7 @@ class Inconsistent(G0wbError):
     """An order-by-order solve met an equation with no solution."""
 
 
-class NotUnimodular(G0wbError):
+class NotUnimodular(UsageError):
     """Matrix determinant is not 1."""
 
 
@@ -76,8 +82,9 @@ class RequiresPositiveC(G0wbError):
     """The closed multiplier formula is only stated for lower-left entry c > 0."""
 
 
-class NonConvergent(G0wbError):
-    """Numeric evaluation requested outside the region of convergence."""
+class NonConvergent(UsageError):
+    """Numeric evaluation requested outside the region of convergence, or
+    at a point where a double cannot hold a value, a tail or an input."""
 
 
 class CorruptCorpus(G0wbError):

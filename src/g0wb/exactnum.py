@@ -8,7 +8,9 @@ promotes both operands into the lcm conductor before combining.
 The text form used in data files and CLI output writes a number as a
 polynomial in ``z`` (the root of unity of the declared conductor) with
 integer or rational coefficients, ascending powers, no whitespace:
-``3+2z^5-z^7``.
+``3+2z^5-z^7``.  An integer longer than Python's limit for decimal text
+(sys.get_int_max_str_digits(), 4300 digits by default) is refused both ways:
+the reader raises ParseError and the writer G0wbError.
 """
 
 from __future__ import annotations
@@ -16,11 +18,12 @@ from __future__ import annotations
 import functools
 import math
 import re
+import sys
 from fractions import Fraction
 from itertools import repeat
 from operator import add, mul, sub
 
-from .errors import NotCoprime, ParseError
+from .errors import G0wbError, NotCoprime, ParseError
 
 BigRational = Fraction
 
@@ -421,10 +424,15 @@ def _half_ext_gcd(a, modulus):
 # -- literals ---------------------------------------------------------------
 
 def format_rational(value: Fraction) -> str:
-    value = Fraction(value)
-    if value.denominator == 1:
-        return str(value.numerator)
-    return f"{value.numerator}/{value.denominator}"
+    if not isinstance(value, int):
+        value = Fraction(value)
+    try:
+        if value.denominator == 1:
+            return str(value.numerator)
+        return f"{value.numerator}/{value.denominator}"
+    except ValueError as exc:
+        raise G0wbError(f"an integer exceeds the {sys.get_int_max_str_digits()}-digit "
+                        "limit for decimal text") from exc
 
 
 def format_literal(coeffs) -> str:
@@ -478,8 +486,8 @@ def parse_cyclotomic(text: str, conductor: int) -> CyclotomicNumber:
         m = _TERM_RE.match(term)
         if not m or (m.group("coef") is None and m.group("z") is None):
             raise ParseError(f"bad term {term!r} in cyclotomic literal {text!r}")
-        coef = Fraction(m.group("coef")) if m.group("coef") else _ONE
-        power = int(m.group("pow") or 1) if m.group("z") else 0
+        coef = parse_rational(m.group("coef")) if m.group("coef") else _ONE
+        power = parse_rational(m.group("pow") or "1") if m.group("z") else 0
         raw[power % conductor] += sign * coef
     return CyclotomicNumber(conductor, _fold([[c] if c else None for c in raw],
                                              euler_phi(conductor), conductor, 1))

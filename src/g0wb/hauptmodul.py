@@ -22,6 +22,7 @@ from .errors import (
     InsufficientSeed,
     InsufficientTruncation,
     ShapeError,
+    UsageError,
 )
 from .exactnum import CyclotomicNumber, _convolve, _fold, _power_table, _promote, euler_phi
 from .matrices import IntMatrix
@@ -92,7 +93,7 @@ def classify(h: PuiseuxSeries, orders: Iterable[int]) -> Classification:
     order_list = sorted(set(int(m) for m in orders))
     work = sum(check_order(m) ** 2 for m in order_list)
     if work > MAX_ORDER_WORK:
-        raise ValueError(f"orders need sum psi(m)^2 = {work}, which exceeds the largest "
+        raise UsageError(f"orders need sum psi(m)^2 = {work}, which exceeds the largest "
                          f"supported {MAX_ORDER_WORK}")
     reports = [(m, _test_order(h, m, notes)) for m in order_list]
     statuses = [r.status for _, r in reports]
@@ -155,7 +156,7 @@ def bootstrap_extend(h_prefix: PuiseuxSeries, poly: ModularPolynomial, m: int,
     if target <= h_prefix.trunc:
         return h_prefix.truncate(target)
     if target > MAX_TARGET:
-        raise ValueError(f"target {target} exceeds the largest supported target {MAX_TARGET}")
+        raise UsageError(f"target {target} exceeds the largest supported target {MAX_TARGET}")
     d_dx = poly.derivative("x")
     d_dy = poly.derivative("y")
     monomials = [key for key, c in poly.coeffs.items() if not c.is_zero()]
@@ -295,7 +296,7 @@ def check_replication(a: PuiseuxSeries, b: PuiseuxSeries, k: int) -> bool:
     checked exactly in the coefficient ring.
     """
     if k < 1:
-        raise ValueError("replication index k must be >= 1")
+        raise UsageError("replication index k must be >= 1")
     if a.trunc_exponent() < 4 * k + 2:
         raise InsufficientTruncation(
             f"left series needs depth {4*k + 2}", required=4 * k + 2)
@@ -319,7 +320,7 @@ def congruence_membership(mat: IntMatrix, level: int, flavor: str) -> bool:
             a = d = +-1 mod N (matching signs).
     """
     if level < 1:
-        raise ValueError("level must be >= 1")
+        raise UsageError("level must be >= 1")
     mat.require_unimodular()
     a, b, c, d = mat.entries()
     if flavor == "full":
@@ -328,7 +329,7 @@ def congruence_membership(mat: IntMatrix, level: int, flavor: str) -> bool:
         return c % level == 0
     if flavor == "gamma1":
         return c % level == 0 and _diagonal_is_sign(a, d, level)
-    raise ValueError(f"unknown flavor {flavor!r} (full, gamma0, gamma1)")
+    raise UsageError(f"unknown flavor {flavor!r} (full, gamma0, gamma1)")
 
 
 def _diagonal_is_sign(a: int, d: int, level: int) -> bool:

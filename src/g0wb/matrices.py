@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import NotUnimodular, ParseError
-from .exactnum import _square_and_multiply
+from .exactnum import _square_and_multiply, format_rational
 
 
 @dataclass(frozen=True)
@@ -22,7 +22,7 @@ class IntMatrix:
 
     def require_unimodular(self) -> None:
         if self.det() != 1:
-            raise NotUnimodular(f"determinant {self.det()} != 1 for {self}")
+            raise NotUnimodular(f"determinant {format_rational(self.det())} != 1 for {self}")
 
     def __mul__(self, other: IntMatrix) -> IntMatrix:
         return IntMatrix(
@@ -51,7 +51,8 @@ class IntMatrix:
         return (self.a, self.b, self.c, self.d)
 
     def __str__(self) -> str:
-        return f"(({self.a},{self.b}),({self.c},{self.d}))"
+        a, b, c, d = map(format_rational, self.entries())
+        return f"(({a},{b}),({c},{d}))"
 
 
 IDENTITY = IntMatrix(1, 0, 0, 1)

@@ -38,6 +38,7 @@ from .errors import (
     NonIntegralInput,
     ParseError,
     ShapeError,
+    UsageError,
 )
 from .exactnum import (MAX_CONDUCTOR, CyclotomicNumber, _read_header, _trim, parse_cyclotomic,
                        prime_divisors)
@@ -57,13 +58,15 @@ MAX_TARGET = 2000
 def check_order(m: int, poly: ModularPolynomial | None = None) -> int:
     """Refuse an order above MAX_ORDER before any work (psi factors m by
     trial division, and a build's Newton sums grow as psi(m)^2 series
-    products even for a two-term input), then an input polynomial whose
-    degrees are not psi(m); return psi(m)."""
+    products even for a two-term input), an order below 2 (no coset set),
+    then an input polynomial whose degrees are not psi(m); return psi(m)."""
     if m > MAX_ORDER:
-        raise ValueError(f"order {m} exceeds the largest supported order {MAX_ORDER}")
+        raise UsageError(f"order {m} exceeds the largest supported order {MAX_ORDER}")
+    if m < 2:
+        raise UsageError(f"order {m} is below the smallest supported order 2")
     n = psi(m)
     if poly is not None and (poly.degx != n or poly.degy != n):
-        raise ValueError(f"polynomial degrees ({poly.degx}, {poly.degy}) != psi({m}) = {n}")
+        raise UsageError(f"polynomial degrees ({poly.degx}, {poly.degy}) != psi({m}) = {n}")
     return n
 
 
@@ -161,10 +164,10 @@ def average_sum(f: PuiseuxSeries, p: int) -> PuiseuxSeries:
     not exceed MAX_CONDUCTOR.
     """
     if math.lcm(f.conductor, p) > MAX_CONDUCTOR:
-        raise ValueError(f"averaging order {p} puts the result in conductor "
+        raise UsageError(f"averaging order {p} puts the result in conductor "
                          f"lcm({f.conductor}, {p}) > {MAX_CONDUCTOR}")
     if prime_divisors(p) != [p]:
-        raise ValueError(f"averaging order {p} is not prime")
+        raise UsageError(f"averaging order {p} is not prime")
     if f.denom != 1:
         raise NonIntegralInput("averaging needs a series with integral exponents")
     total = _class_power_sum(f, p, 1) + _class_power_sum(f, p, p)
@@ -374,7 +377,7 @@ def _build(h: PuiseuxSeries, m: int, generalised: bool) -> tuple[ModularPolynomi
     if not h.is_moonshine_shape():
         raise ShapeError("modular polynomial construction needs q^-1 + O(q) input")
     if generalised and math.gcd(m, h.conductor) != 1:
-        raise ValueError(f"twisted construction needs gcd(m, {h.conductor}) = 1")
+        raise UsageError(f"twisted construction needs gcd(m, {h.conductor}) = 1")
     check_order(m)
     need = required_truncation(m)
     if h.trunc < need:

@@ -4,19 +4,21 @@ weight-k transformation laws and the lift of a form to the group.
 
 Exactness lives elsewhere; everything here is ordinary complex arithmetic
 with a reported error bound.  Evaluation close to the real line (im < 0.1)
-is rejected rather than attempted.
+is rejected rather than attempted, and so is one where a double cannot hold
+an input, a phase, a value or a tail (NonConvergent).
 """
 
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
 
 from .braid import eta_multiplier_matrix
-from .errors import NonConvergent
+from .errors import NonConvergent, UsageError
 from .exactnum import CyclotomicNumber
 from .matrices import IntMatrix
 from .qseries import PuiseuxSeries
@@ -32,14 +34,16 @@ MAX_RADIUS = 1000
 
 @dataclass(frozen=True)
 class UpperHalfPoint:
-    """A point tau = re + im*i with im strictly positive."""
+    """A point tau = re + im*i with finite re and im strictly positive."""
 
     re: float
     im: float
 
     def __post_init__(self):
+        if not math.isfinite(self.re) or not math.isfinite(self.im):
+            raise UsageError(f"tau = {self.re},{self.im} is not finite")
         if not self.im > 0:
-            raise ValueError(f"im = {self.im} is not in the upper half-plane")
+            raise UsageError(f"im = {self.im} is not in the upper half-plane")
 
     def as_complex(self) -> complex:
         return complex(self.re, self.im)
@@ -57,8 +61,31 @@ class EvalResult:
     tail_estimate: float
     terms_used: int
 
+    def __post_init__(self):
+        _finite(self.value, "value")
+        _finite(self.tail_estimate, "tail")
+
 
 Evaluator = Callable[[UpperHalfPoint], EvalResult]
+
+
+def _finite(x, what: str):
+    """x, refused when it is an infinity or a NaN."""
+    if not cmath.isfinite(x):
+        raise NonConvergent(f"{what} {x} does not fit in a double")
+    return x
+
+
+def _in_doubles(fn):
+    """fn, with the OverflowError of an input or an intermediate that a
+    double cannot hold raised as NonConvergent."""
+    @functools.wraps(fn)
+    def checked(*args, **kwargs):
+        try:
+            return fn(*args, **kwargs)
+        except OverflowError as exc:
+            raise NonConvergent(f"a value does not fit in a double: {exc}") from exc
+    return checked
 
 
 def complex_of(c: CyclotomicNumber) -> complex:
@@ -77,6 +104,7 @@ def _require_tame(tau: UpperHalfPoint) -> complex:
     return tau.as_complex()
 
 
+@_in_doubles
 def eval_series(h: PuiseuxSeries, tau: UpperHalfPoint) -> EvalResult:
     """Sum the stored terms at q = exp(2*pi*i*tau).
 
@@ -93,7 +121,7 @@ def eval_series(h: PuiseuxSeries, tau: UpperHalfPoint) -> EvalResult:
     last_mag = 0.0
     items = h.nonzero_items()
     for n, c in items:
-        term = complex_of(c) * cmath.exp(2j * math.pi * t * n / h.denom)
+        term = complex_of(c) * cmath.exp(_finite(2j * math.pi * t * n / h.denom, "phase"))
         total += term
         last_mag = abs(term)
     tail = _GUARD * last_mag * r / (1.0 - r)
@@ -111,11 +139,11 @@ def eta_eval(tau: UpperHalfPoint, terms: int) -> EvalResult:
     scaled to the value and the guard factor.
     """
     if terms < 1:
-        raise ValueError("need at least one product factor")
+        raise UsageError("need at least one product factor")
     if terms > MAX_TERMS:
-        raise ValueError(f"terms {terms} exceeds the largest supported terms {MAX_TERMS}")
+        raise UsageError(f"terms {terms} exceeds the largest supported terms {MAX_TERMS}")
     t = _require_tame(tau)
-    q = cmath.exp(2j * math.pi * t)
+    q = cmath.exp(_finite(2j * math.pi * t, "phase"))
     value = cmath.exp(2j * math.pi * t / 24.0)
     qn = 1.0 + 0j
     for _ in range(terms):
@@ -149,6 +177,7 @@ def _square_boundary_gap(t: complex) -> float:
     return best
 
 
+@_in_doubles
 def eisenstein_eval(k: int, tau: UpperHalfPoint, radius: int) -> EvalResult:
     """The primed lattice sum of (m*tau + n)^(-k) over 0 < max(|m|,|n|) <=
     radius, summed shell-major then lexicographically (the order is part of
@@ -158,11 +187,11 @@ def eisenstein_eval(k: int, tau: UpperHalfPoint, radius: int) -> EvalResult:
     is the exact minimum of |x*tau + y| on the boundary of the unit square.
     """
     if k < 4 or k % 2:
-        raise ValueError("lattice sum needs even k >= 4")
+        raise UsageError("lattice sum needs even k >= 4")
     if radius < 1:
-        raise ValueError("radius must be >= 1")
+        raise UsageError("radius must be >= 1")
     if radius > MAX_RADIUS:
-        raise ValueError(f"radius {radius} exceeds the largest supported radius {MAX_RADIUS}")
+        raise UsageError(f"radius {radius} exceeds the largest supported radius {MAX_RADIUS}")
     t = _require_tame(tau)
     total = 0j
     for shell in range(1, radius + 1):
@@ -187,6 +216,7 @@ def _principal_power(base: complex, k) -> complex:
     return cmath.exp(float(k) * cmath.log(base))
 
 
+@_in_doubles
 def check_weight_law(f: Evaluator, mat: IntMatrix, k, mu: complex,
                      tau: UpperHalfPoint) -> float:
     """Residual |f(A tau) - mu * (c tau + d)^k * f(tau)|.
@@ -199,7 +229,7 @@ def check_weight_law(f: Evaluator, mat: IntMatrix, k, mu: complex,
     t = tau.as_complex()
     image = UpperHalfPoint.of(mat.moebius(t))
     factor = _principal_power(mat.c * t + mat.d, k)
-    return abs(f(image).value - mu * factor * f(tau).value)
+    return _finite(abs(f(image).value - mu * factor * f(tau).value), "residual")
 
 
 def lift_phi(f: Evaluator, k, mu, g: Sequence[float]) -> complex:
@@ -212,7 +242,7 @@ def lift_phi(f: Evaluator, k, mu, g: Sequence[float]) -> complex:
     a, b, c, d = (float(x) for x in g)
     det = a * d - b * c
     if abs(det - 1.0) > 1e-9:
-        raise ValueError(f"determinant {det} != 1")
+        raise UsageError(f"determinant {det} != 1")
     point = UpperHalfPoint.of((a * 1j + b) / (c * 1j + d))
     return (f(point).value * _principal_power(c * 1j + d, -float(k))
             * complex(1 if mu is None else mu).conjugate())

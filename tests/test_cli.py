@@ -304,6 +304,12 @@ def _edit_line(text, index, line):
     return "\n".join(lines)
 
 
+def _series_with(coefficient):
+    """q^-1 + 5q + c q^22, determined through q^30."""
+    return ("# qexp v1\nlabel: B\nconductor: 1\ndenom: 1\nlo: -1\ntrunc: 30\n"
+            f"-1 1\n1 5\n22 {coefficient}\n")
+
+
 _MPOLY = emit_mpoly(GOLDEN_ORDER2)
 _LAST_MONOMIAL = len(_MPOLY.split("\n")) - 2
 _QEXP = emit_qexp(normalized_j(10), "J")
@@ -337,6 +343,8 @@ _REFUSAL_FILES = {
     "g_label.table": _edit_line(_S3, 3, _S3.split("\n")[3].replace("e", "zz")),
     "g_inverse.table": "order: 2\ne a\na a\n",
     "g_associative.table": "order: 3\ne a b\na e a\nb b e\n",
+    "big.qexp": _series_with("7" * 4300),
+    "big401.qexp": _series_with("9" * 401),
 }
 
 _VERIFY = ("verify", "--series", "data/j.qexp", "--order", "2", "--modpoly")
@@ -396,6 +404,32 @@ class TestRefusals:
         (("avg", "--series", "nonmoonshine.qexp", "--prime", "2", "--express"), 3,
          "generator must be q^-1"),
         (("avg", "--series", "fractional.qexp", "--prime", "2"), 3, "integral exponents"),
+        (("eval", "--series", "data/j.qexp", "--tau", "0,120"), 2, "does not fit in a double"),
+        (("eval", "--series", "big401.qexp", "--tau", "0,1"), 2, "does not fit in a double"),
+        (("eta",) + _LAW + ("--matrix", f"1,0,{10**400},1"), 2, "does not fit in a double"),
+        (("eisenstein", "--k", "4", "--radius", "2") + _LAW + ("--matrix", f"1,0,{10**400},1"),
+         2, "does not fit in a double"),
+        (("eta", "--tau", "1e308,1"), 2, "does not fit in a double"),
+        (("eval", "--series", "data/j.qexp", "--tau", "inf,1"), 3, "bad tau"),
+        (("eval", "--series", "data/j.qexp", "--tau", "nan,1"), 3, "bad tau"),
+        (("eta", "--tau", "inf,1"), 3, "bad tau"),
+        (("eta", "--tau", "nan,1"), 3, "bad tau"),
+        (("eisenstein", "--k", "4", "--radius", "2", "--tau", "1e308,1"), 2,
+         "does not fit in a double"),
+        (("eisenstein", "--k", "4", "--radius", "2", "--tau", "0,1e300"), 2,
+         "does not fit in a double"),
+        (("avg", "--series", "big.qexp", "--prime", "11"), 3, "4300-digit limit"),
+        (_CLASSIFY + ("big.qexp",), 3, "4300-digit limit"),
+        (("braid", "degree", "--word", f"s1^{'9' * 4300} s2^{'9' * 4300}"), 3,
+         "4300-digit limit"),
+        (("classify", "--series", "data/j.qexp", "--orders", "a"), 2,
+         "invalid literal for int()"),
+        (("classify", "--series", "data/j.qexp", "--orders", "0"), 2,
+         "order 0 is below the smallest supported order 2"),
+        (("modpoly", "--series", "data/j.qexp", "--order", "1"), 2,
+         "order 1 is below the smallest supported order 2"),
+        (("modpoly", "--series", "data/j.qexp", "--order", "0"), 2,
+         "order 0 is below the smallest supported order 2"),
     ])
     def test_refused_with_one_line(self, capsys, tmp_path, argv, code, reason):
         for name, text in _REFUSAL_FILES.items():

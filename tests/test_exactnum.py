@@ -1,10 +1,11 @@
+import sys
 from fractions import Fraction
 
 import pytest
 import sympy
 from hypothesis import given, strategies as st
 
-from g0wb.errors import NotCoprime, ParseError
+from g0wb.errors import G0wbError, NotCoprime, ParseError, UsageError
 from g0wb.exactnum import (
     CyclotomicNumber,
     cyclotomic_polynomial,
@@ -170,3 +171,27 @@ class TestLiterals:
     def test_format_rational(self):
         assert format_rational(Fraction(-3, 4)) == "-3/4"
         assert format_rational(Fraction(8, 2)) == "4"
+
+
+class TestDecimalTextLimit:
+    """Integers longer than Python's limit for decimal text are refused both
+    ways, so every file the workbench writes reads back."""
+
+    LIMIT = sys.get_int_max_str_digits()
+
+    @pytest.mark.parametrize("value", [10 ** LIMIT, Fraction(1, 10 ** LIMIT), -(10 ** LIMIT)],
+                             ids=["integer", "denominator", "negative"])
+    def test_writer_refuses_as_a_data_error(self, value):
+        with pytest.raises(G0wbError, match=f"{self.LIMIT}-digit limit") as err:
+            format_rational(value)
+        assert not isinstance(err.value, UsageError)
+
+    def test_writer_keeps_the_longest_integer(self):
+        assert format_rational(10 ** self.LIMIT - 1) == "9" * self.LIMIT
+
+    @pytest.mark.parametrize("text", ["9" * (LIMIT + 1) + "z", "z^" + "9" * (LIMIT + 1),
+                                      "1/" + "9" * (LIMIT + 1)],
+                             ids=["coefficient", "power", "denominator"])
+    def test_reader_refuses_as_a_parse_error(self, text):
+        with pytest.raises(ParseError, match="bad rational literal"):
+            parse_cyclotomic(text, 3)
