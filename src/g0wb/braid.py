@@ -1,6 +1,6 @@
 """Words in the two-generator braid group, their degree and projection to
 SL2(Z), the multiplier character, the integral extended group of pairs
-(matrix, n) with the Maslov-corrected law, and the quilt action on G x G.
+(matrix, n) under Rademacher's cocycle, and the quilt action on G x G.
 
 Conventions fixed here:
 
@@ -9,9 +9,9 @@ Conventions fixed here:
   * sigma_class encodes the four boundary cases (c = 0 and a > 0; c < 0;
     c = 0 and a < 0; c > 0) as 0, 1, 2, 3, and every extended element
     carries n with n = sigma_class (mod 4);
-  * generator lifts take the minimal nonnegative n of their class: the
-    first generator lifts with n = 0, the second with n = 1.
-"""
+  * (A, m)(B, n) = (AB, m + n + sign(c_A c_B c_AB)), Rademacher's cocycle
+    (Rademacher-Grosswald 1972; Kirby-Melvin 1994), and generator powers
+    lift in closed form: s1^e to (T^e, 0) and s2^e to (L^e, sign e)."""
 
 from __future__ import annotations
 
@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .errors import MaslovUndefined, ParseError, RequiresPositiveC
+from .errors import ParseError, RequiresPositiveC
 from .exactnum import CyclotomicNumber, _square_and_multiply, format_rational, parse_rational
 from .matrices import IDENTITY, IntMatrix
 
@@ -143,33 +143,21 @@ class ExtendedElement:
 
 
 EXTENDED_IDENTITY = ExtendedElement(IDENTITY, 0)
-LIFT_S1 = ExtendedElement(BURAU_S1, 0)
-LIFT_S2 = ExtendedElement(BURAU_S2, 1)
 
 
-def _maslov_correction(residue: int) -> int:
-    residue %= 4
-    if residue == 0:
-        return 0
-    if residue == 1:
-        return 1
-    if residue == 3:
-        return -1
-    raise MaslovUndefined("branch-count residue 2: no correction in {0, +-1} exists")
+def _sign(x: int) -> int:
+    return (x > 0) - (x < 0)
 
 
 def extended_mul(x: ExtendedElement, y: ExtendedElement) -> ExtendedElement:
-    """(A, m)(B, n) = (AB, m + n + tau) with tau in {0, +-1} fixed by the
-    class congruence mod 4."""
+    """(A, m)(B, n) = (AB, m + n + tau) with tau = sign(c_A c_B c_AB),
+    Rademacher's cocycle on the lower-left entries."""
     product = x.matrix * y.matrix
-    residue = sigma_class(product) - sigma_class(x.matrix) - sigma_class(y.matrix)
-    return ExtendedElement(product, x.n + y.n + _maslov_correction(residue))
+    return ExtendedElement(product, x.n + y.n + _sign(x.matrix.c * y.matrix.c * product.c))
 
 
 def extended_inverse(x: ExtendedElement) -> ExtendedElement:
-    inv = x.matrix.inverse()
-    residue = -sigma_class(x.matrix) - sigma_class(inv)
-    return ExtendedElement(inv, -x.n - _maslov_correction(residue))
+    return ExtendedElement(x.matrix.inverse(), -x.n)
 
 
 def extended_pow(x: ExtendedElement, n: int) -> ExtendedElement:
@@ -180,13 +168,13 @@ def extended_pow(x: ExtendedElement, n: int) -> ExtendedElement:
 
 
 def lift_braid(word: BraidWord) -> ExtendedElement:
-    """Lift of a braid word: generators go to their minimal-class pairs,
-    inverses through the extended inverse, letters composed left to right.
-    The matrix component always equals the plain projection."""
+    """Lift of a braid word: each letter's closed-form pair, composed left
+    to right.  The matrix component always equals the plain projection."""
     out = EXTENDED_IDENTITY
     for gen, exp in word.letters:
-        base = LIFT_S1 if gen == 1 else LIFT_S2
-        out = extended_mul(out, extended_pow(base, exp))
+        letter = (ExtendedElement(IntMatrix(1, exp, 0, 1), 0) if gen == 1 else
+                  ExtendedElement(IntMatrix(1, 0, -exp, 1), _sign(exp)))
+        out = extended_mul(out, letter)
     return out
 
 

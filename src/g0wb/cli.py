@@ -31,6 +31,7 @@ from .modeq import (
     verify_modular_equation,
 )
 from .numeric import (
+    ETA_LAW_TOLERANCE,
     UpperHalfPoint,
     check_weight_law,
     eisenstein_eval,
@@ -213,11 +214,10 @@ def _cmd_eta(args) -> int:
     mat = parse_matrix(args.matrix)
     mu = braidmod.eta_multiplier_matrix(mat)
     residual = check_weight_law(eta_evaluator(args.terms), mat, Fraction(1, 2), mu, tau)
-    tolerance = 1e-8
-    ok = residual < tolerance
+    ok = residual < ETA_LAW_TOLERANCE
     _emit(f"weight-1/2 law for {mat} at tau={args.tau}: residual {residual:.3e} "
-          f"(tolerance {tolerance:.1e}) {'pass' if ok else 'FAIL'}",
-          [("residual", f"{residual:.6e}"), ("tolerance", f"{tolerance:.1e}"),
+          f"(tolerance {ETA_LAW_TOLERANCE:.1e}) {'pass' if ok else 'FAIL'}",
+          [("residual", f"{residual:.6e}"), ("tolerance", f"{ETA_LAW_TOLERANCE:.1e}"),
            ("kappa", str(braidmod.DEFAULT_ETA_KAPPA)),
            ("law", "pass" if ok else "fail")])
     return EXIT_OK if ok else EXIT_FAILED

@@ -73,11 +73,6 @@ class NotUnimodular(UsageError):
     """Matrix determinant is not 1."""
 
 
-class MaslovUndefined(G0wbError):
-    """The Maslov correction residue fell outside {0, +-1}; the extended
-    group-law model has been violated."""
-
-
 class RequiresPositiveC(G0wbError):
     """The closed multiplier formula is only stated for lower-left entry c > 0."""
 

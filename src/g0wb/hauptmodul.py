@@ -147,12 +147,14 @@ def bootstrap_extend(h_prefix: PuiseuxSeries, poly: ModularPolynomial, m: int,
     must vanish, else no extension exists; this also re-checks everything
     the previous block solved.  The result is re-verified against the
     polynomial in full before being returned; a target too shallow for
-    that check raises InsufficientTruncation, and one above MAX_TARGET is
-    refused before any work.
+    that check raises InsufficientTruncation, and one below 0 or above
+    MAX_TARGET is refused before any work.
     """
     if not h_prefix.is_moonshine_shape():
         raise ShapeError("bootstrap needs a q^-1 + O(q) seed")
     check_order(m, poly)
+    if target < 0:
+        raise UsageError(f"target {target} is below the smallest supported target 0")
     if target <= h_prefix.trunc:
         return h_prefix.truncate(target)
     if target > MAX_TARGET:

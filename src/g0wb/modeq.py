@@ -438,17 +438,19 @@ def verify_modular_equation(h: PuiseuxSeries, poly: ModularPolynomial, m: int,
     verified_to: Fraction | None = None
     for t, slice_map in enumerate(poly.y_slices()):
         lhs, sign = elementary[-1 - t], (-1) ** t
-        rhs = _linear([(c, powers[i]) for i, c in slice_map.items()])
-        diff = _linear([(sign, lhs), (-1, rhs)])
+        # the polynomial side minus the product side, in one sum
+        diff = _linear([(c, powers[i]) for i, c in slice_map.items()] + [(-sign, lhs)])
         bound = diff.trunc_exponent()
         verified_to = bound if verified_to is None else min(verified_to, bound)
         if bound < 0:
             return VerificationReport(m, bound, "insufficient-data")
         e = diff.min_nonzero_exponent()
         if e is not None:
-            right = rhs if isinstance(rhs, PuiseuxSeries) else _linear([(sign, lhs), (-1, diff)])
-            return VerificationReport(m, verified_to, "inconsistent", first_failure=(
-                e, lhs.coefficient(e) * sign, right.coefficient(e)))
+            # the polynomial side, written on the basis the sum was taken on
+            expected = lhs.coefficient(e) * sign
+            actual = (expected + diff.coefficient(e)).promote(diff._basis)
+            return VerificationReport(m, verified_to, "inconsistent",
+                                      first_failure=(e, expected, actual))
     return VerificationReport(m, verified_to, "consistent")
 
 

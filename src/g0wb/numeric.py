@@ -284,14 +284,15 @@ KAPPA_PANEL = (
 
 KAPPA_CANDIDATES = (Fraction(1, 2), Fraction(1, 4))
 
+# largest residual of the eta weight-1/2 law that counts as a pass
+ETA_LAW_TOLERANCE = 1e-8
 
-def select_eta_kappa(candidates: Sequence[Fraction] = KAPPA_CANDIDATES,
-                     panel: Sequence[tuple[IntMatrix, UpperHalfPoint]] = KAPPA_PANEL,
-                     terms: int = 120,
-                     tolerance: float = 1e-8) -> KappaSelection:
+
+def select_eta_kappa(terms: int = 120) -> KappaSelection:
     """Evaluate the half-integral weight law for each candidate constant in
-    the closed multiplier formula over a panel of c > 0 matrices; a
-    candidate is accepted when every residual clears the tolerance.
+    the closed multiplier formula over KAPPA_PANEL, a panel of c > 0
+    matrices; a candidate is accepted when every residual clears
+    ETA_LAW_TOLERANCE.
 
     Returns the unique accepted constant (None when zero or several pass)
     together with the full residual panel.
@@ -299,17 +300,17 @@ def select_eta_kappa(candidates: Sequence[Fraction] = KAPPA_CANDIDATES,
     f = eta_evaluator(terms)
     rows: list[ResidualRow] = []
     accepted: list[Fraction] = []
-    for kappa in candidates:
+    for kappa in KAPPA_CANDIDATES:
         worst = 0.0
-        for mat, point in panel:
+        for mat, point in KAPPA_PANEL:
             mu = eta_multiplier_matrix(mat, kappa)
             residual = check_weight_law(f, mat, Fraction(1, 2), mu, point)
             rows.append(ResidualRow(
                 label=f"kappa={kappa} A={mat}",
-                residual=residual, tolerance=tolerance,
-                passed=residual < tolerance))
+                residual=residual, tolerance=ETA_LAW_TOLERANCE,
+                passed=residual < ETA_LAW_TOLERANCE))
             worst = max(worst, residual)
-        if worst < tolerance:
+        if worst < ETA_LAW_TOLERANCE:
             accepted.append(kappa)
     winner = accepted[0] if len(accepted) == 1 else None
     notes = (f"accepted constant: {winner}" if winner is not None

@@ -386,7 +386,7 @@ class PuiseuxSeries:
             # the empty product is known wherever the base is
             return PuiseuxSeries.make({0: 1}, trunc=max(self.trunc, 0),
                                       denom=self.denom, conductor=self.conductor)
-        return functools.reduce(mul, [self] * (exponent - 1), self)
+        return self._powers(exponent)[exponent]
 
 
 def _fill(obj, conductor, basis, denom, trunc, start, vec, den) -> None:

@@ -27,7 +27,7 @@ from g0wb.braid import (
     quilt_step,
     symmetric_group_3,
 )
-from g0wb.errors import Inconsistent, MaslovUndefined
+from g0wb.errors import Inconsistent
 from g0wb.exactnum import CyclotomicNumber, euler_phi
 from g0wb.goldens import GOLDEN_ORDER2
 from g0wb.hauptmodul import bootstrap_extend, check_replication, classify
@@ -207,17 +207,12 @@ def test_criterion_8_braid_suite():
             (rng.choice([1, 2]), rng.choice([-2, -1, 1, 2]))
             for _ in range(rng.randint(0, 12)))
 
-    undefined = 0
     for _ in range(10_000):
-        try:
-            x, y, z = (lift_braid(random_word()) for _ in range(3))
-            assert extended_mul(extended_mul(x, y), z) == \
-                extended_mul(x, extended_mul(y, z))
-        except MaslovUndefined:
-            undefined += 1
-    assert undefined == 0
+        x, y, z = (lift_braid(random_word()) for _ in range(3))
+        assert extended_mul(extended_mul(x, y), z) == \
+            extended_mul(x, extended_mul(y, z))
     announce(8, "braid relation, lifts, multiplier, and 10^4 associativity "
-                "triples with zero undefined corrections")
+                "triples")
 
 
 def test_criterion_9_quilt_suite():

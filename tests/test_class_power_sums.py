@@ -269,6 +269,21 @@ class TestAgainstCosetProduct:
         assert (exponent, expected.literal(), actual.literal()) == (-1, "1+z", "-2-5z")
         assert report == oracle_verify(h, poly, 2)
 
+    def test_failure_report_reads_the_polynomial_side_on_its_basis(self):
+        # the twisted polynomial of q^-1 + xi_3 q declared over Q(xi_12): its
+        # side of a failure is written on the basis of xi_12, as the sum of
+        # its terms is, even where the difference of the two sides is rational
+        xi = CyclotomicNumber.root_of_unity(3)
+        poly = build_modular_polynomial(
+            PuiseuxSeries.make({-1: 1, 1: xi}, trunc=30, conductor=3), 2, generalised=True)
+        wide = ModularPolynomial(2, 12, {k: c.promote(12) for k, c in poly.coeffs.items()},
+                                 poly.degx, poly.degy)
+        h = PuiseuxSeries.make({-1: 1, 1: xi + 1}, trunc=30, conductor=3)
+        report = verify_modular_equation(h, wide, 2, generalised=True)
+        exponent, expected, actual = report.first_failure
+        assert (exponent, expected.literal(), actual.literal()) == (-2, "-2-2z", "2-2z^2")
+        assert report == oracle_verify(h, wide, 2, generalised=True)
+
 
 class TestIntegrality:
     """Class power sums have integral exponents, so every e_j has denom 1;

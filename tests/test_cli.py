@@ -430,6 +430,10 @@ class TestRefusals:
          "order 1 is below the smallest supported order 2"),
         (("modpoly", "--series", "data/j.qexp", "--order", "0"), 2,
          "order 0 is below the smallest supported order 2"),
+        (("bootstrap", "--series", "data/j.qexp", "--modpoly", "order2.mpoly",
+          "--order", "2", "--target=-5"), 2, "target -5 is below the smallest supported target 0"),
+        (("bootstrap", "--series", "data/j.qexp", "--modpoly", "order2.mpoly",
+          "--order", "2", "--target=-1"), 2, "target -1 is below the smallest supported target 0"),
     ])
     def test_refused_with_one_line(self, capsys, tmp_path, argv, code, reason):
         for name, text in _REFUSAL_FILES.items():
