@@ -20,6 +20,7 @@ import math
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import itemgetter
 from typing import Iterable, Sequence
 
 from .errors import ParseError, RequiresPositiveC
@@ -265,12 +266,13 @@ class GroupTable:
             if 0 not in row:
                 raise ValueError(f"element {self.labels[i]} has no inverse")
             inverses.append(row.index(0))
-        if any(min(row) < 0 or max(row) >= n for row in mul):
+        if set().union(*mul).difference(range(n)):
             raise ValueError("multiplication table entry out of range")
         for a in _greedy_generators(mul):
-            row_a = mul[a]
+            # (x a) y, a row of the table, against x (a y), read through a's row
+            through_a = itemgetter(*mul[a])
             for row_x in mul:
-                if list(mul[row_x[a]]) != [row_x[b] for b in row_a]:
+                if mul[row_x[a]] != through_a(row_x):
                     raise ValueError("multiplication table is not associative")
         object.__setattr__(self, "inverses", tuple(inverses))
 
@@ -379,7 +381,7 @@ def parse_group_table(text: str) -> GroupTable:
     if len(index) != n:
         raise ParseError("identity row does not list distinct elements", line=2)
     try:
-        mul = tuple(tuple(index[entry] for entry in row) for row in rows)
+        mul = tuple(tuple(map(index.__getitem__, row)) for row in rows)
     except KeyError as exc:
         raise ParseError(f"unknown label {exc.args[0]!r} in table") from exc
     try:
@@ -414,28 +416,50 @@ def quilt_step(pair: tuple[int, int], generator: str, table: GroupTable) -> tupl
 
 
 def quilt_orbit(pair: tuple[int, int], table: GroupTable) -> frozenset[tuple[int, int]]:
-    """Closure of a pair under both generators and their inverses."""
-    mul, inv = table.mul, table.inverses
-    seen = {pair}
-    frontier = [pair]
-    while frontier:
-        g, h = frontier.pop()
-        row_g = mul[g]
-        gh = row_g[h]
-        # s1, s2, s1^-1, s2^-1 as in quilt_step
-        for nxt in ((g, gh), (row_g[inv[h]], h), (g, mul[inv[g]][h]), (gh, h)):
-            if nxt not in seen:
-                seen.add(nxt)
-                frontier.append(nxt)
-    return frozenset(seen)
+    """Closure of a pair under both generators and their inverses, in work
+    proportional to the orbit (see ``_close``)."""
+    n = table.order
+    g, h = pair
+    if not (0 <= g < n and 0 <= h < n):
+        raise ValueError(f"pair {pair} is not a pair of element indices below {n}")
+    return _close(g * n + h, table, bytearray(n * n))
+
+
+def _close(code: int, table: GroupTable, marks: bytearray) -> frozenset[tuple[int, int]]:
+    """The orbit of the pair with code g n + h.  An inverse generator is a
+    power of its generator on a finite set, so the closure under s1 and s2
+    is the orbit: each s1-cycle (g, g^k h) is walked whole, with one s2 step
+    per pair.  ``marks`` holds 1 for a pair found and 2 once its cycle is
+    walked; only the orbit's codes change."""
+    mul, inv, n = table.mul, table.inverses, table.order
+    marks[code] = 1
+    out, todo = [], [code]
+    while todo:
+        g, h = divmod(todo.pop(), n)
+        base = g * n
+        if marks[base + h] == 2:
+            continue
+        row, k = mul[g], h
+        while True:
+            marks[base + k] = 2
+            out.append((g, k))
+            found = row[inv[k]] * n + k  # (g k^-1, k) = (g, k).s2
+            if not marks[found]:
+                marks[found] = 1
+                todo.append(found)
+            k = row[k]  # (g, g k) = (g, k).s1
+            if k == h:
+                break
+    return frozenset(out)
 
 
 def quilt_orbits(table: GroupTable) -> list[frozenset[tuple[int, int]]]:
-    """All orbits; a partition of G x G."""
-    remaining = {(g, h) for g in range(table.order) for h in range(table.order)}
+    """All orbits, a partition of G x G, each opened at the smallest pair
+    (g, h) outside the orbits before it; O(n^2) in all."""
+    marks = bytearray(table.order ** 2)
     orbits = []
-    while remaining:
-        orbit = quilt_orbit(min(remaining), table)
-        orbits.append(orbit)
-        remaining -= orbit
+    code = marks.find(0)
+    while code >= 0:
+        orbits.append(_close(code, table, marks))
+        code = marks.find(0, code + 1)
     return orbits

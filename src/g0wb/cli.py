@@ -14,6 +14,7 @@ import functools
 import os
 import sys
 from fractions import Fraction
+from itertools import compress
 
 from . import braid as braidmod
 from . import corpus as corpusmod
@@ -288,10 +289,23 @@ def _cmd_quilt(args) -> int:
     except KeyError as exc:
         raise UsageError(exc.args[0]) from exc
     orbit = braidmod.quilt_orbit(pair, table)
-    pretty = sorted(f"({table.labels[g]},{table.labels[h]})" for g, h in orbit)
+    # rows in the order of "(g," and columns in that of "h)"; the closing sort
+    # of the nearly sorted list mends a label extending another past a comma
+    n, labels = table.order, table.labels
+    cols = sorted(range(n), key=lambda h: labels[h] + ")")
+    col_of = {h: i for i, h in enumerate(cols)}
+    marks = bytearray(n * n)
+    for g, h in orbit:
+        marks[g * n + col_of[h]] = 1
+    tails = [labels[h] + ")" for h in cols]
+    pretty = []
+    for g in sorted(range(n), key=lambda g: "(" + labels[g] + ","):
+        pretty += map(f"({labels[g]},".__add__, compress(tails, marks[g * n:g * n + n]))
+    pretty.sort()
+    elements = " ".join(pretty)
     _emit("orbit of (%s,%s): size %d\n%s" % (parts[0].strip(), parts[1].strip(),
-                                             len(orbit), " ".join(pretty)),
-          [("orbit_size", str(len(orbit))), ("elements", " ".join(pretty))])
+                                             len(orbit), elements),
+          [("orbit_size", str(len(orbit))), ("elements", elements)])
     return EXIT_OK
 
 

@@ -427,7 +427,8 @@ def verify_modular_equation(h: PuiseuxSeries, poly: ModularPolynomial, m: int,
 
     Both sides are expanded as polynomials in Y, the product side from the
     class power sums the build uses, and compared to the largest order the
-    input truncation supports.  Failures are reported in-band, never raised.
+    input truncation supports.  Failures are reported in-band, never raised;
+    both values of a failure are written on lcm(h.conductor, poly.conductor).
     """
     check_order(m, poly)
     if not h.is_moonshine_shape():
@@ -446,9 +447,10 @@ def verify_modular_equation(h: PuiseuxSeries, poly: ModularPolynomial, m: int,
             return VerificationReport(m, bound, "insufficient-data")
         e = diff.min_nonzero_exponent()
         if e is not None:
-            # the polynomial side, written on the basis the sum was taken on
-            expected = lhs.coefficient(e) * sign
-            actual = (expected + diff.coefficient(e)).promote(diff._basis)
+            # both sides on one field, that of h and the polynomial together
+            field = math.lcm(h.conductor, poly.conductor)
+            expected = (lhs.coefficient(e) * sign).promote(field)
+            actual = (expected + diff.coefficient(e)).promote(field)
             return VerificationReport(m, verified_to, "inconsistent",
                                       first_failure=(e, expected, actual))
     return VerificationReport(m, verified_to, "consistent")

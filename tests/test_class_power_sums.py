@@ -26,7 +26,7 @@ from g0wb.errors import (
     NotInvariant,
     ParseError,
 )
-from g0wb.exactnum import MAX_CONDUCTOR, CyclotomicNumber, _power_table
+from g0wb.exactnum import MAX_CONDUCTOR, CyclotomicNumber, _power_table, parse_cyclotomic
 from g0wb.modeq import (
     ModularPolynomial,
     VerificationReport,
@@ -35,13 +35,14 @@ from g0wb.modeq import (
     average_sum,
     build_modular_polynomial,
     coset_set,
+    emit_mpoly,
     express_in_generator,
     parse_mpoly,
     psi,
     required_truncation,
     verify_modular_equation,
 )
-from g0wb.qseries import PuiseuxSeries, parse_qexp, substitute_coset
+from g0wb.qseries import PuiseuxSeries, emit_qexp, parse_qexp, substitute_coset
 
 
 # -- the coset-product oracle ---------------------------------------------------
@@ -270,9 +271,9 @@ class TestAgainstCosetProduct:
         assert report == oracle_verify(h, poly, 2)
 
     def test_failure_report_reads_the_polynomial_side_on_its_basis(self):
-        # the twisted polynomial of q^-1 + xi_3 q declared over Q(xi_12): its
-        # side of a failure is written on the basis of xi_12, as the sum of
-        # its terms is, even where the difference of the two sides is rational
+        # the twisted polynomial of q^-1 + xi_3 q declared over Q(xi_12): both
+        # sides of a failure are written on the basis of xi_12, the series'
+        # side too, where -2 - 2 xi_3 reads -2z^2
         xi = CyclotomicNumber.root_of_unity(3)
         poly = build_modular_polynomial(
             PuiseuxSeries.make({-1: 1, 1: xi}, trunc=30, conductor=3), 2, generalised=True)
@@ -281,8 +282,73 @@ class TestAgainstCosetProduct:
         h = PuiseuxSeries.make({-1: 1, 1: xi + 1}, trunc=30, conductor=3)
         report = verify_modular_equation(h, wide, 2, generalised=True)
         exponent, expected, actual = report.first_failure
-        assert (exponent, expected.literal(), actual.literal()) == (-2, "-2-2z", "2-2z^2")
+        assert (exponent, expected.literal(), actual.literal()) == (-2, "-2z^2", "2-2z^2")
         assert report == oracle_verify(h, wide, 2, generalised=True)
+
+
+def _twisted_j(n, depth):
+    """h_N = xi_N * J(tau + 1/N)."""
+    return PuiseuxSeries.make(
+        {k: c * CyclotomicNumber.root_of_unity(n, k + 1)
+         for k, c in normalized_j(depth).coeffs.items()}, trunc=depth, conductor=n)
+
+
+def _mixed_field_failure():
+    """The twisted j of conductor 3 with 2 added at q^1, and the order-4
+    polynomial of the unperturbed series, emitted with ``conductor: 12`` and
+    read back."""
+    h = _twisted_j(3, required_truncation(4))
+    poly = build_modular_polynomial(h, 4)
+    wide = parse_mpoly(emit_mpoly(ModularPolynomial(4, 12, poly.coeffs, poly.degx, poly.degy)))
+    coeffs = dict(h.coeffs)
+    coeffs[1] += 2
+    return PuiseuxSeries.make(coeffs, trunc=h.trunc, conductor=3), wide
+
+
+def oracle_first_difference(h, poly, m):
+    """(e, d): the first y-slice of F(h, Y) minus the coset product that is
+    not zero, at its lowest exponent e, with its coefficient d there."""
+    powers = [_one()]
+    for _ in range(poly.degx):
+        powers.append(powers[-1] * h)
+    for slice_map, lhs in zip(poly.y_slices(), oracle_product_in_y(h, m)):
+        diff = -lhs
+        for i, c in slice_map.items():
+            diff = diff + powers[i].scale(c)
+        if not diff.is_zero():
+            e = diff.min_nonzero_exponent()
+            return e, diff.coefficient(e)
+    return None
+
+
+class TestFailureOnOneField:
+    """A conductor-3 series against a polynomial over Q(xi_12): both values
+    of the first failure are literals on conductor 12, and their difference
+    is the coefficient of F(h, Y) minus the coset product there."""
+
+    def test_library_report(self):
+        h, wide = _mixed_field_failure()
+        report = verify_modular_equation(h, wide, 4)
+        exponent, expected, actual = report.first_failure
+        assert (exponent, expected.conductor, actual.conductor) == (-5, 12, 12)
+        assert parse_cyclotomic(expected.literal(), 12) == expected
+        assert parse_cyclotomic(actual.literal(), 12) == actual
+        assert (exponent, actual - expected) == oracle_first_difference(h, wide, 4)
+
+    def test_cli_report(self, tmp_path, capsys):
+        h, wide = _mixed_field_failure()
+        (tmp_path / "h3.qexp").write_text(emit_qexp(h, "h3"), encoding="utf-8")
+        (tmp_path / "f4.mpoly").write_text(emit_mpoly(wide), encoding="utf-8")
+        code = main(["verify", "--series", str(tmp_path / "h3.qexp"),
+                     "--modpoly", str(tmp_path / "f4.mpoly"), "--order", "4"])
+        out = capsys.readouterr().out
+        machine = dict(line.split("=", 1) for line in out.split("---\n", 1)[1].splitlines())
+        expected = parse_cyclotomic(machine["failure_expected"], 12)
+        actual = parse_cyclotomic(machine["failure_actual"], 12)
+        assert code == 1
+        assert f"  expected {machine['failure_expected']}\n" in out
+        assert (Fraction(machine["failure_exponent"]), actual - expected) == \
+            oracle_first_difference(h, wide, 4)
 
 
 class TestIntegrality:

@@ -26,11 +26,18 @@ second copies they replaced, kept here as oracles:
 - the rational shortcut of ``CyclotomicNumber.__truediv__``, now a product
   with ``inverse()``;
 - two report helpers per report type, one for its sections and one for its
-  machine block, now one per type (``report.render``).
+  machine block, now one per type (``report.render``);
+- the quilt closure over four neighbours per pair, now s1-cycles walked
+  whole with one s2 step per pair (``quilt_orbit``), and the partition that
+  opened each orbit at ``min(remaining)``, now at the next unmarked pair
+  (``quilt_orbits``);
+- the quilt listing by sorting the text of every pair, now rows and columns
+  in label order with one closing sort (``cli._cmd_quilt``).
 
 Also the value reports of ``eta`` and ``eisenstein`` without ``--law``,
 which share one emitter with ``eval``."""
 
+import itertools
 import math
 import random
 import re
@@ -47,7 +54,11 @@ from g0wb.braid import (
     _greedy_generators,
     cyclic_group,
     dihedral_group,
+    emit_group_table,
     group_from_elements,
+    parse_group_table,
+    quilt_orbit,
+    quilt_orbits,
     symmetric_group_3,
 )
 from g0wb import qseries
@@ -167,6 +178,42 @@ def oracle_greedy_generators(mul):
     return gens
 
 
+def oracle_quilt_orbit(pair, table):
+    """Closure of a pair under s1, s2, s1^-1 and s2^-1, four neighbours per
+    pair."""
+    mul, inv = table.mul, table.inverses
+    seen = {pair}
+    frontier = [pair]
+    while frontier:
+        g, h = frontier.pop()
+        row_g = mul[g]
+        gh = row_g[h]
+        for nxt in ((g, gh), (row_g[inv[h]], h), (g, mul[inv[g]][h]), (gh, h)):
+            if nxt not in seen:
+                seen.add(nxt)
+                frontier.append(nxt)
+    return frozenset(seen)
+
+
+def oracle_quilt_orbits(table):
+    """Each orbit opened at the smallest pair not yet covered."""
+    remaining = {(g, h) for g in range(table.order) for h in range(table.order)}
+    orbits = []
+    while remaining:
+        orbit = oracle_quilt_orbit(min(remaining), table)
+        orbits.append(orbit)
+        remaining -= orbit
+    return orbits
+
+
+def oracle_quilt_elements(table, start):
+    """The ``elements=`` value of ``g0wb quilt``: the text of every pair,
+    sorted."""
+    g, h = (table.index(label) for label in start.split(","))
+    return " ".join(sorted(f"({table.labels[a]},{table.labels[b]})"
+                           for a, b in oracle_quilt_orbit((g, h), table)))
+
+
 # -- cyclotomic literals ---------------------------------------------------------------
 
 def _random_literal(rng, conductor):
@@ -243,6 +290,101 @@ def test_greedy_generators_match_on_tables_that_are_not_groups():
         for row, i in zip(mul, range(n)):
             row[0] = i
         assert list(_greedy_generators(mul)) == oracle_greedy_generators(mul)
+
+
+# -- quilt orbits ----------------------------------------------------------------------
+
+@st.composite
+def quilt_tables(draw):
+    """A cyclic or dihedral table of order up to 40, its non-identity
+    elements in a drawn order."""
+    if draw(st.booleans()):
+        n = draw(st.integers(1, 40))
+        elements = list(range(n))
+
+        def compose(a, b):
+            return (a + b) % n
+    else:
+        n = draw(st.integers(1, 20))
+        elements = [(r, s) for s in (0, 1) for r in range(n)]
+
+        def compose(x, y):
+            return (x[0] + (y[0] if x[1] == 0 else -y[0])) % n, x[1] ^ y[1]
+    rest = draw(st.permutations(elements[1:]))
+    return group_from_elements([elements[0], *rest], compose, str)
+
+
+@settings(max_examples=150, deadline=None)
+@given(quilt_tables(), st.data())
+def test_quilt_orbit_matches_the_four_neighbour_closure(table, data):
+    index = st.integers(0, table.order - 1)
+    for pair in data.draw(st.lists(st.tuples(index, index), min_size=1, max_size=4)):
+        assert quilt_orbit(pair, table) == oracle_quilt_orbit(pair, table)
+
+
+@settings(max_examples=80, deadline=None)
+@given(quilt_tables())
+def test_quilt_orbits_match_the_min_remaining_partition(table):
+    assert quilt_orbits(table) == oracle_quilt_orbits(table)
+
+
+def _gl32():
+    """GL(3, 2) from the 168 invertible 3x3 matrices over F2, row-major."""
+    def det(m):
+        return (m[0] * (m[4] * m[8] - m[5] * m[7]) - m[1] * (m[3] * m[8] - m[5] * m[6])
+                + m[2] * (m[3] * m[7] - m[4] * m[6])) % 2
+
+    identity = (1, 0, 0, 0, 1, 0, 0, 0, 1)
+    matrices = [m for m in itertools.product((0, 1), repeat=9) if det(m) and m != identity]
+
+    def compose(a, b):
+        return tuple(sum(a[3 * i + k] * b[3 * k + j] for k in range(3)) % 2
+                     for i in range(3) for j in range(3))
+
+    return group_from_elements([identity, *matrices], compose,
+                               lambda m: "".join(map(str, m)))
+
+
+@pytest.mark.parametrize("table", [cyclic_group(2), symmetric_group_3(), dihedral_group(4),
+                                   _gl32()], ids=["z2", "s3", "d4", "gl32"])
+def test_quilt_orbits_match_on_named_groups(table):
+    orbits = quilt_orbits(table)
+    assert orbits == oracle_quilt_orbits(table)
+    rng = random.Random(table.order)
+    for _ in range(20):
+        pair = (rng.randrange(table.order), rng.randrange(table.order))
+        assert quilt_orbit(pair, table) == oracle_quilt_orbit(pair, table)
+    if table.order == 168:
+        assert len(orbits) == 623
+
+
+def test_quilt_orbit_refuses_a_pair_outside_the_table():
+    for pair in ((0, 6), (6, 0), (-1, 0), (0, -1)):
+        with pytest.raises(ValueError, match="element indices"):
+            quilt_orbit(pair, symmetric_group_3())
+
+
+_C4_WITH_PREFIXES = "order: 4\ne x x,y z)\nx x,y z) e\nx,y z) e x\nz) e x x,y\n"
+
+
+@pytest.mark.parametrize("name, text, starts", [
+    ("c4", _C4_WITH_PREFIXES, ["z),x", "x,e", "e,e"]),
+    ("c120", emit_group_table(cyclic_group(120)), ["g5,g7", "g,e", "g60,g30", "e,e"]),
+    ("d60", emit_group_table(dihedral_group(60)), ["f,r1", "r3,r7f", "r20,r30", "e,f"]),
+], ids=["c4", "c120", "d60"])
+def test_quilt_elements_are_the_sorted_pair_texts(capsys, tmp_path, name, text, starts):
+    path = tmp_path / f"{name}.gtab"
+    path.write_text(text, encoding="utf-8")
+    table = parse_group_table(text)
+    for start in starts:
+        code, out, err = _run(capsys, "quilt", "--group", str(path), "--start", start)
+        assert (code, err) == (0, "")
+        elements = _machine(out)["elements"]
+        assert elements == oracle_quilt_elements(table, start), start
+        assert out.split("\n")[1] == elements
+        if start == "z),x":
+            # "(x," sorts before "(x,y," but the pair (x,y,z)) sorts first
+            assert elements.index("(x,y,z))") < elements.index("(x,z))")
 
 
 # -- symmetry ------------------------------------------------------------------------
