@@ -161,13 +161,6 @@ def extended_inverse(x: ExtendedElement) -> ExtendedElement:
     return ExtendedElement(x.matrix.inverse(), -x.n)
 
 
-def extended_pow(x: ExtendedElement, n: int) -> ExtendedElement:
-    """x^n in O(log |n|) products; valid because the extended law is
-    associative."""
-    return _square_and_multiply(x if n >= 0 else extended_inverse(x), abs(n),
-                                EXTENDED_IDENTITY, extended_mul)
-
-
 def lift_braid(word: BraidWord) -> ExtendedElement:
     """Lift of a braid word: each letter's closed-form pair, composed left
     to right.  The matrix component always equals the plain projection."""
@@ -360,7 +353,8 @@ def dihedral_group(n: int) -> GroupTable:
 
 def parse_group_table(text: str) -> GroupTable:
     """Text Cayley table: ``order: n`` then n rows of n labels; the first
-    row must be the identity row (it defines the element order)."""
+    row must be the identity row (it defines the element order).  A label
+    may not contain ',', which separates the two elements of a quilt pair."""
     lines = [ln for ln in text.split("\n") if ln.strip()]
     if not lines or not lines[0].startswith("order:"):
         raise ParseError("missing 'order: n' header", line=1)
@@ -377,6 +371,8 @@ def parse_group_table(text: str) -> GroupTable:
         if len(row) != n:
             raise ParseError(f"row has {len(row)} entries, expected {n}", line=i + 2)
     labels = tuple(rows[0])
+    if any("," in lab for lab in labels):
+        raise ParseError("a label contains ',', which separates the elements of a pair", line=2)
     index = {lab: i for i, lab in enumerate(labels)}
     if len(index) != n:
         raise ParseError("identity row does not list distinct elements", line=2)

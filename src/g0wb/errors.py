@@ -37,13 +37,6 @@ class InsufficientTruncation(G0wbError):
         self.required = required
 
 
-class NotInvariant(G0wbError):
-    """The input does not satisfy the modular equation being constructed.
-    Only test oracles raise it: a successful build has x-degree psi(m), since
-    the leading terms of the psi(m) coset roots multiply to a root of unity
-    times q^(-psi(m))."""
-
-
 class ExpressFailure(G0wbError):
     """Pole-killing left a nonzero residual: the series is not a polynomial
     in the generator.  ``residual`` is the irreducible remainder series;

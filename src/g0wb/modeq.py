@@ -10,8 +10,9 @@ Y-coefficients (the power-sum view of Conway-Norton 1979 and of Alexander,
 Cummins, McKay and Simons 1992); build expresses each as a polynomial in h
 and verification compares them with F(h, Y).
 
-Powers of h come from the ladder cached on h, so each is multiplied out
-once per series; constants are exact numbers, not series.
+Powers of h come from the ladder cached on h; a build takes the e_j one
+at a time, stops at the first that fails, and kills poles on powers of h
+cut to q^(trunc // m + psi(m)).  Constants are exact numbers, not series.
 
 The coset set uses the primitive pairs (d, k) with d | m, 0 <= k < d and
 gcd(m/d, k, d) = 1, which is exactly what makes |A_m| = psi(m) and the
@@ -30,7 +31,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping
+from typing import Iterator, Mapping
 
 from .errors import (
     ExpressFailure,
@@ -134,27 +135,34 @@ def _class_power_sum(s: PuiseuxSeries, m: int, d: int) -> PuiseuxSeries:
     return _reweighted(s, m // g, d * d // g, _class_weights(m, d), s.conductor)
 
 
-def _coset_elementary(h: PuiseuxSeries, m: int) -> list[PuiseuxSeries]:
-    """e_0..e_psi(m) of the order-m coset roots of h, in the field of h:
-    Newton's identities on each class's power sums (one run over all roots
-    would let the q^-m pole of the d = 1 root eat the other classes'
-    depth), then the product of the class polynomials.  e_0 = 1 is exact;
-    it is handed out determined through q^(10^9), the bound the
+def _coset_elementary(h: PuiseuxSeries, m: int) -> Iterator[PuiseuxSeries]:
+    """Yield e_0, e_1, ..., e_psi(m) of the order-m coset roots of h, in the
+    field of h: Newton's identities on each class's power sums (one run
+    over all roots would let the q^-m pole of the d = 1 root eat the other
+    classes' depth), then the product of the class polynomials.  e_j forms
+    the power sums, Newton steps and product terms of degree j only, so a
+    caller that stops after e_j never multiplies out h^(j+1).  e_0 = 1 is
+    exact; it is handed out determined through q^(10^9), the bound the
     coset-product oracle of the tests gives it."""
-    sizes = collections.Counter(d for d, _ in coset_set(m).pairs)
-    powers = h._powers(max(sizes.values()))
-    total: list = [1]
-    for d, size in sorted(sizes.items()):
-        sums = [_class_power_sum(powers[j], m, d) for j in range(1, size + 1)]
-        es: list = [1]
-        for k in range(1, size + 1):
-            # k e_k = sum_{i=1..k} (-1)^(i-1) e_(k-i) p_i
-            es.append(_linear([(Fraction((-1) ** (i - 1), k), es[k - i], sums[i - 1])
-                               for i in range(1, k + 1)]))
-        total = [_linear([(total[a], es[j - a])
-                          for a in range(max(0, j - size), min(j, len(total) - 1) + 1)])
-                 for j in range(len(total) + size)]
-    return [PuiseuxSeries.make({0: 1}, trunc=10**9)] + total[1:]
+    classes = sorted(collections.Counter(d for d, _ in coset_set(m).pairs).items())
+    # per class: power sums p_1.., elementary e_0.., and the elementary
+    # functions of the roots of this class and every earlier one
+    sums = [[] for _ in classes]
+    es, totals = ([[1] for _ in classes] for _ in range(2))
+    yield PuiseuxSeries.make({0: 1}, trunc=10**9)
+    for j in range(1, psi(m) + 1):
+        below, degree = [1], 0
+        for (d, size), p, e, total in zip(classes, sums, es, totals):
+            if j <= size:
+                p.append(_class_power_sum(h._powers(j)[j], m, d))
+                # j e_j = sum_{i=1..j} (-1)^(i-1) e_(j-i) p_i
+                e.append(_linear([(Fraction((-1) ** (i - 1), j), e[j - i], p[i - 1])
+                                  for i in range(1, j + 1)]))
+            if j <= degree + size:
+                total.append(_linear([(below[a], e[j - a])
+                                      for a in range(max(0, j - size), min(j, degree) + 1)]))
+            below, degree = total, degree + size
+        yield below[j]
 
 
 def average_sum(f: PuiseuxSeries, p: int) -> PuiseuxSeries:
@@ -243,7 +251,17 @@ def express_in_generator(f: PuiseuxSeries, h: PuiseuxSeries) -> UnivariatePoly:
 
 
 def _express(f: PuiseuxSeries, h: PuiseuxSeries) -> tuple[UnivariatePoly, Fraction]:
-    """express_in_generator, and the bound of its zero residual f - P(h)."""
+    """express_in_generator, and the bound of its zero residual f - P(h).
+
+    With h = q^-1 + ... determined through q^D, h^k is determined through
+    q^(D-k+1), so the residual keeps the bound of f while D - pole_order(f)
+    + 1 >= that bound.  _build cuts h to D = trunc // m + psi(m): the pole
+    of e_j is at most the sum psi(m) of the root poles m/d^2, and e_j
+    (j >= 1) is determined at most through q^(trunc/m).  For j <= m it has
+    the term p_j/j of the class d = m; for j > m a term e_b(class m) *
+    e_a(classes d < m), 1 <= b <= m, with a at a vertex of the Newton
+    polygon of the classes d < m, where e_a has valuation at most -m (its
+    vertices are at most m/2 apart, the class sizes)."""
     if not h.is_moonshine_shape():
         raise ShapeError("generator must be q^-1 + O(q) with zero constant term")
     if f.denom != 1:
@@ -378,7 +396,7 @@ def _build(h: PuiseuxSeries, m: int, generalised: bool) -> tuple[ModularPolynomi
         raise ShapeError("modular polynomial construction needs q^-1 + O(q) input")
     if generalised and math.gcd(m, h.conductor) != 1:
         raise UsageError(f"twisted construction needs gcd(m, {h.conductor}) = 1")
-    check_order(m)
+    degree = check_order(m)
     need = required_truncation(m)
     if h.trunc < need:
         raise InsufficientTruncation(
@@ -386,12 +404,14 @@ def _build(h: PuiseuxSeries, m: int, generalised: bool) -> tuple[ModularPolynomi
             f"have q^{h.trunc}",
             required=need,
         )
-    elementary = _coset_elementary(h, m)
-    degree = len(elementary) - 1
-    generator = h if not generalised else h.map_coefficients(lambda c: c.galois(m))
+    # no e_j is determined past q^(trunc/m) or has a pole of order above
+    # psi(m) (see _express), so every residual keeps its bound on this cut
+    generator = h.truncate(h.trunc // m + degree)
+    if generalised:
+        generator = generator.map_coefficients(lambda c: c.galois(m))
     slices: dict[tuple[int, int], Coeff] = {}
     bounds: dict[int, Fraction] = {}
-    for j, e_j in enumerate(elementary):
+    for j, e_j in enumerate(_coset_elementary(h, m)):
         try:
             poly, bounds[j] = _express(e_j, generator)
         except ExpressFailure as exc:
@@ -433,7 +453,7 @@ def verify_modular_equation(h: PuiseuxSeries, poly: ModularPolynomial, m: int,
     check_order(m, poly)
     if not h.is_moonshine_shape():
         raise ShapeError("verification needs q^-1 + O(q) input")
-    elementary = _coset_elementary(h, m)
+    elementary = list(_coset_elementary(h, m))
     generator = h if not generalised else h.map_coefficients(lambda c: c.galois(m))
     powers = generator._powers(poly.degx)
     verified_to: Fraction | None = None

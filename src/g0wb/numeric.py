@@ -15,7 +15,7 @@ import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Callable
 
 from .braid import eta_multiplier_matrix
 from .errors import NonConvergent, UsageError
@@ -128,10 +128,6 @@ def eval_series(h: PuiseuxSeries, tau: UpperHalfPoint) -> EvalResult:
     return EvalResult(total, tail, len(items))
 
 
-def series_evaluator(h: PuiseuxSeries) -> Evaluator:
-    return lambda tau: eval_series(h, tau)
-
-
 def eta_eval(tau: UpperHalfPoint, terms: int) -> EvalResult:
     """q^(1/24) times the first ``terms`` factors of prod (1 - q^n).
 
@@ -230,22 +226,6 @@ def check_weight_law(f: Evaluator, mat: IntMatrix, k, mu: complex,
     image = UpperHalfPoint.of(mat.moebius(t))
     factor = _principal_power(mat.c * t + mat.d, k)
     return _finite(abs(f(image).value - mu * factor * f(tau).value), "residual")
-
-
-def lift_phi(f: Evaluator, k, mu, g: Sequence[float]) -> complex:
-    """Lift of a form to the group: phi(g) = f(g.i) * (c*i + d)^(-k) *
-    conj(mu(g)).
-
-    ``mu`` is the multiplier's value at g, or None for the trivial
-    multiplier (used off the discrete group).
-    """
-    a, b, c, d = (float(x) for x in g)
-    det = a * d - b * c
-    if abs(det - 1.0) > 1e-9:
-        raise UsageError(f"determinant {det} != 1")
-    point = UpperHalfPoint.of((a * 1j + b) / (c * 1j + d))
-    return (f(point).value * _principal_power(c * 1j + d, -float(k))
-            * complex(1 if mu is None else mu).conjugate())
 
 
 # -- selection of the eta-multiplier constant ----------------------------------

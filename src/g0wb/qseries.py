@@ -301,14 +301,20 @@ class PuiseuxSeries:
                                   self._start, self._vec, self._den)
 
     def truncate(self, exponent) -> PuiseuxSeries:
-        """Forget everything above the given exponent bound."""
+        """Forget everything above the given exponent bound.  On integral
+        exponents the cached powers come along, each cut to the bound the
+        same power of the cut series has: x^k to bound + (k-1) * lo."""
         e = Fraction(exponent)
         if e > self.trunc_exponent():
             raise ValueError("truncate cannot extend the determined range")
         bound = math.floor(e * self.denom)
         keep = max(0, bound - self._start + 1) * euler_phi(self._basis)
-        return PuiseuxSeries._new(self.conductor, self._basis, self.denom, bound,
-                                  self._start, self._vec[:keep], self._den)
+        out = PuiseuxSeries._new(self.conductor, self._basis, self.denom, bound,
+                                 self._start, self._vec[:keep], self._den)
+        if keep and self.denom == 1:
+            _set(out, "_ladder", tuple(p.truncate(bound + k * self._start)
+                                       for k, p in enumerate(self._ladder, start=1)))
+        return out
 
     def shift(self, by) -> PuiseuxSeries:
         """The series times q^by, by renumbering: lo, trunc and every

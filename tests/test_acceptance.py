@@ -46,11 +46,15 @@ from g0wb.numeric import (
     check_weight_law,
     eisenstein_evaluator,
     eta_evaluator,
+    eval_series,
     select_eta_kappa,
-    series_evaluator,
 )
 from g0wb.qseries import PuiseuxSeries, compare_to_order, substitute_coset
 from g0wb.report import render
+
+
+def series_evaluator(h):
+    return lambda tau: eval_series(h, tau)
 
 
 def announce(number: int, text: str) -> None:

@@ -23,7 +23,6 @@ from g0wb.braid import (
     eta_multiplier_phase,
     extended_inverse,
     extended_mul,
-    extended_pow,
     lift_braid,
     parse_group_table,
     quilt_orbit,
@@ -33,10 +32,17 @@ from g0wb.braid import (
     symmetric_group_3,
 )
 from g0wb.errors import NotUnimodular, ParseError, RequiresPositiveC
-from g0wb.exactnum import CyclotomicNumber
+from g0wb.exactnum import CyclotomicNumber, _square_and_multiply
 from g0wb.matrices import IDENTITY, IntMatrix
 
 HALF_TWIST = BraidWord.parse("s1 s2 s1")
+
+
+def extended_pow(x, n):
+    """x^n in O(log |n|) products; valid because the extended law is
+    associative."""
+    return _square_and_multiply(x if n >= 0 else extended_inverse(x), abs(n),
+                                EXTENDED_IDENTITY, extended_mul)
 
 
 def random_word(rng, max_len=12):

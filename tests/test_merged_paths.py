@@ -364,7 +364,10 @@ def test_quilt_orbit_refuses_a_pair_outside_the_table():
             quilt_orbit(pair, symmetric_group_3())
 
 
-_C4_WITH_PREFIXES = "order: 4\ne x x,y z)\nx x,y z) e\nx,y z) e x\nz) e x x,y\n"
+# the label x is a prefix of x), and ")" sorts below ","
+_C4_WITH_PREFIXES = "order: 4\ne x x) z)\nx x) z) e\nx) z) e x\nz) e x x)\n"
+# with the label x,y the pair text (x,y,z)) would read as (x, y,z)) and (x,y, z))
+_C4_WITH_A_COMMA = "order: 4\ne x x,y z)\nx x,y z) e\nx,y z) e x\nz) e x x,y\n"
 
 
 @pytest.mark.parametrize("name, text, starts", [
@@ -383,8 +386,18 @@ def test_quilt_elements_are_the_sorted_pair_texts(capsys, tmp_path, name, text, 
         assert elements == oracle_quilt_elements(table, start), start
         assert out.split("\n")[1] == elements
         if start == "z),x":
-            # "(x," sorts before "(x,y," but the pair (x,y,z)) sorts first
-            assert elements.index("(x,y,z))") < elements.index("(x,z))")
+            # the label x sorts before x), but the row "(x)," before "(x,"
+            assert elements.index("(x),z))") < elements.index("(x,e)")
+
+
+def test_quilt_refuses_a_label_with_a_comma(capsys, tmp_path):
+    with pytest.raises(ParseError, match="label contains ','"):
+        parse_group_table(_C4_WITH_A_COMMA)
+    path = tmp_path / "c4.gtab"
+    path.write_text(_C4_WITH_A_COMMA, encoding="utf-8")
+    code, out, err = _run(capsys, "quilt", "--group", str(path), "--start", "z),x")
+    assert (code, out) == (3, "")
+    assert "label contains ','" in err and "line 2" in err
 
 
 # -- symmetry ------------------------------------------------------------------------

@@ -6,7 +6,7 @@ import pytest
 
 from g0wb.braid import DEFAULT_ETA_KAPPA, eta_multiplier_matrix
 from g0wb.corpus import eta_product_series
-from g0wb.errors import NonConvergent
+from g0wb.errors import NonConvergent, UsageError
 from g0wb.matrices import IntMatrix
 from g0wb.numeric import (
     MAX_RADIUS,
@@ -21,14 +21,33 @@ from g0wb.numeric import (
     eta_eval,
     eta_evaluator,
     eval_series,
-    lift_phi,
+    _principal_power,
     select_eta_kappa,
-    series_evaluator,
 )
 from g0wb.exactnum import CyclotomicNumber
 from g0wb.qseries import PuiseuxSeries
 
 I_POINT = UpperHalfPoint(0.0, 1.0)
+
+
+def series_evaluator(h):
+    return lambda tau: eval_series(h, tau)
+
+
+def lift_phi(f, k, mu, g):
+    """Lift of a form to the group: phi(g) = f(g.i) * (c*i + d)^(-k) *
+    conj(mu(g)).
+
+    ``mu`` is the multiplier's value at g, or None for the trivial
+    multiplier (used off the discrete group).
+    """
+    a, b, c, d = (float(x) for x in g)
+    det = a * d - b * c
+    if abs(det - 1.0) > 1e-9:
+        raise UsageError(f"determinant {det} != 1")
+    point = UpperHalfPoint.of((a * 1j + b) / (c * 1j + d))
+    return (f(point).value * _principal_power(c * 1j + d, -float(k))
+            * complex(1 if mu is None else mu).conjugate())
 
 
 class TestEvalSeries:

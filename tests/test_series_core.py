@@ -469,7 +469,7 @@ class TestLinearKernelAgainstDictOracle:
         lambda n: series(conductor=n, max_terms=4)), st.sampled_from([2, 3, 4]))
     def test_coset_elementary(self, case, m):
         h, oh = integral(case)
-        got = _coset_elementary(h, m)
+        got = list(_coset_elementary(h, m))
         want = o_elementary(oh, m)
         assert len(got) == len(want) + 1
         for e, o in zip(got[1:], want):
