@@ -43,7 +43,7 @@ from .numeric import (
     select_eta_kappa,
 )
 from .qseries import PuiseuxSeries, emit_qexp, parse_qexp
-from .report import provenance_footnotes, render
+from .report import _with_machine_block, provenance_footnotes, render
 
 EXIT_OK = 0
 EXIT_FAILED = 1
@@ -88,8 +88,7 @@ def _fmt_complex(z: complex) -> str:
 
 
 def _emit(body: str, machine: list[tuple[str, str]]) -> None:
-    pairs = "\n".join(f"{k}={v}" for k, v in machine)
-    sys.stdout.write(f"{body}\n---\n{pairs}\n" if body else f"---\n{pairs}\n")
+    sys.stdout.write(_with_machine_block(body, machine))
 
 
 def _emit_value(name: str, result, terms: bool = False) -> None:

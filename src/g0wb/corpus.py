@@ -5,8 +5,9 @@ re-checks against hard-coded literals (the duplication is deliberate: a
 corrupted data file cannot silently pass).  Deeper coefficients are derived
 by in-repo oracles; every derived range names the oracle that produced it.
 
-Exact series constructions used as oracles (the eta product, the level-2
-eta quotient, the normalized j-function) live here as well.
+The exact oracles (the eta product, the level-2 eta quotient, the normalized
+j-function) live here as well, built on plain int lists by Euler's
+recurrence for prod (1 - q^n)^w(n), apart from the kernels they check.
 """
 
 from __future__ import annotations
@@ -14,9 +15,10 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from importlib import resources
+from itertools import repeat
+from operator import add, mul
 
 from .errors import CorruptCorpus, ParseError, ShapeError
-from .exactnum import _square_and_multiply
 from .qseries import PuiseuxSeries, SeriesMeta, compare_to_order, parse_qexp
 
 DATA_ENV = "G0WB_DATA"
@@ -138,43 +140,33 @@ def ingest(source: str, require_moonshine: bool = False) -> CorpusEntry:
 # -- exact oracle constructions ------------------------------------------------
 
 
-def _dict_mul(a: dict[int, int], b: dict[int, int], top: int) -> dict[int, int]:
-    out: dict[int, int] = {}
-    for u, x in a.items():
-        for v, y in b.items():
-            k = u + v
-            if k <= top:
-                out[k] = out.get(k, 0) + x * y
-    return {k: v for k, v in out.items() if v}
+def _divisor_sums(f, top: int) -> list[int]:
+    """[sum_{d|n} f(d) for n in 0..top], by a sieve (0 at n = 0)."""
+    sums = [0] * (top + 1)
+    for d in range(1, top + 1):
+        sums[d::d] = map(add, sums[d::d], repeat(f(d)))
+    return sums
 
 
-def _dict_pow(base: dict[int, int], exponent: int, top: int) -> dict[int, int]:
-    return _square_and_multiply(base, exponent, {0: 1}, lambda a, b: _dict_mul(a, b, top))
+def _euler_power(weight, top: int) -> list[int]:
+    """prod_{n>=1} (1 - q^n)^weight(n) through q^top, as a dense list.
 
-
-def _dict_invert(series: dict[int, int], top: int) -> dict[int, int]:
-    """Inverse of a series with constant term 1, through q^top."""
-    if series.get(0) != 1:
-        raise ValueError("inversion needs constant term 1")
-    inv = {0: 1}
+    The logarithmic derivative gives n*a_n = -sum_{i=1..n} b_i*a_(n-i) with
+    b_i = sum_{d|i} d*weight(d); every division is exact.
+    """
+    b = _divisor_sums(lambda d: d * weight(d), top)
+    a = [1]
     for n in range(1, top + 1):
-        acc = 0
-        for k, v in series.items():
-            if 0 < k <= n:
-                acc += v * inv.get(n - k, 0)
-        if acc:
-            inv[n] = -acc
-    return inv
+        value, rem = divmod(-sum(map(mul, b[1:n + 1], reversed(a))), n)
+        if rem:
+            raise ArithmeticError("Euler product recurrence left a remainder")
+        a.append(value)
+    return a
 
 
-def _euler_product(step: int, top: int) -> dict[int, int]:
-    """prod_{n>=1} (1 - q^(step*n)) through q^top."""
-    out = {0: 1}
-    n = step
-    while n <= top:
-        out = _dict_mul(out, {0: 1, n: -1}, top)
-        n += step
-    return out
+def _product(a: list[int], b: list[int]) -> list[int]:
+    """Product of two dense series, through the shorter one's last term."""
+    return [sum(map(mul, a[:n + 1], reversed(b[:n + 1]))) for n in range(min(len(a), len(b)))]
 
 
 def eta_product_series(factors: int) -> PuiseuxSeries:
@@ -183,52 +175,25 @@ def eta_product_series(factors: int) -> PuiseuxSeries:
     The partial product agrees with the infinite one through q^factors, so
     that is the determination bound (plus the 1/24 shift).
     """
-    product = _euler_product(1, factors)
-    coeffs = {24 * n + 1: c for n, c in product.items()}
+    coeffs = {24 * n + 1: c for n, c in enumerate(_euler_power(lambda n: 1, factors))}
     return PuiseuxSeries(1, 24, 1, 24 * factors + 1, coeffs)
 
 
-def sigma_divisors(n: int, power: int) -> int:
-    """Divisor power sum used by the Eisenstein q-expansions."""
-    total = 0
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            total += d ** power
-            if d != n // d:
-                total += (n // d) ** power
-        d += 1
-    return total
-
-
 def normalized_j(depth: int) -> PuiseuxSeries:
-    """The weight-0 generator q^-1 + 196884q + ... built exactly from the
-    cube of the weight-4 Eisenstein series over the discriminant product,
+    """The weight-0 generator q^-1 + 196884q + ... built exactly as the cube
+    of the weight-4 Eisenstein series over the discriminant q*prod(1 - q^n)^24,
     with the constant term shifted to zero.
     """
-    top = depth + 2
-    e4 = {0: 1}
-    for n in range(1, top + 1):
-        e4[n] = 240 * sigma_divisors(n, 3)
-    numerator = _dict_pow(e4, 3, top)
-    disc = {k + 1: v for k, v in _dict_pow(_euler_product(1, top), 24, top).items()}
-    # Laurent division: disc = q * (1 + ...), so shift and invert
-    unit = {k - 1: v for k, v in disc.items()}
-    inverse_unit = _dict_invert(unit, top)
-    j_full = _dict_mul(numerator, inverse_unit, top)
-    j_shifted = {k - 1: v for k, v in j_full.items() if k - 1 <= depth}
-    j_shifted[0] = j_shifted.get(0, 0) - 744
-    return PuiseuxSeries.make({k: v for k, v in j_shifted.items() if v}, trunc=depth)
+    e4 = [1] + [240 * s for s in _divisor_sums(lambda d: d ** 3, depth + 1)[1:]]
+    qj = _product(_product(_product(e4, e4), e4), _euler_power(lambda n: -24, depth + 1))
+    qj[1] -= 744
+    return PuiseuxSeries.make(dict(enumerate(qj, -1)), trunc=depth)
 
 
 def eta_quotient_level2(depth: int) -> PuiseuxSeries:
-    """The level-2 generator q^-1 + 276q - 2048q^2 + ...: the 24th power of
-    the eta quotient at levels 1 and 2, normalized to zero constant term.
+    """The level-2 generator q^-1 + 276q - 2048q^2 + ...: (eta(tau)/eta(2tau))^24
+    = q^-1 * prod(1 - q^n)^(24 (n mod 2)), shifted by 24 to zero constant term.
     """
-    top = depth + 2
-    num = _dict_pow(_euler_product(1, top), 24, top)
-    den = _dict_pow(_euler_product(2, top), 24, top)
-    quotient = _dict_mul(num, _dict_invert(den, top), top)
-    shifted = {k - 1: v for k, v in quotient.items() if k - 1 <= depth}
-    shifted[0] = shifted.get(0, 0) + 24
-    return PuiseuxSeries.make({k: v for k, v in shifted.items() if v}, trunc=depth)
+    qt = _euler_power(lambda n: 24 * (n % 2), depth + 1)
+    qt[1] += 24
+    return PuiseuxSeries.make(dict(enumerate(qt, -1)), trunc=depth)

@@ -388,14 +388,19 @@ def build_modular_polynomial(h: PuiseuxSeries, m: int,
     return _build(h, m, generalised)[0]
 
 
+def _check_twist(h: PuiseuxSeries, m: int, generalised: bool) -> None:
+    """sigma_m is an automorphism of Q[xi_N] only for m prime to N."""
+    if generalised and math.gcd(m, h.conductor) != 1:
+        raise UsageError(f"twisted construction needs gcd(m, {h.conductor}) = 1")
+
+
 def _build(h: PuiseuxSeries, m: int, generalised: bool) -> tuple[ModularPolynomial, Fraction]:
     """build_modular_polynomial, and the lowest bound of its residuals e_j -
     P_j(h): verification forms the same differences, so the polynomial
     verifies against h as consistent to exactly that bound."""
     if not h.is_moonshine_shape():
         raise ShapeError("modular polynomial construction needs q^-1 + O(q) input")
-    if generalised and math.gcd(m, h.conductor) != 1:
-        raise UsageError(f"twisted construction needs gcd(m, {h.conductor}) = 1")
+    _check_twist(h, m, generalised)
     degree = check_order(m)
     need = required_truncation(m)
     if h.trunc < need:
@@ -453,6 +458,7 @@ def verify_modular_equation(h: PuiseuxSeries, poly: ModularPolynomial, m: int,
     check_order(m, poly)
     if not h.is_moonshine_shape():
         raise ShapeError("verification needs q^-1 + O(q) input")
+    _check_twist(h, m, generalised)
     elementary = list(_coset_elementary(h, m))
     generator = h if not generalised else h.map_coefficients(lambda c: c.galois(m))
     powers = generator._powers(poly.degx)

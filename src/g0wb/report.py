@@ -16,6 +16,11 @@ from .modeq import VerificationReport
 from .numeric import KappaSelection, ResidualPanel
 
 
+def _with_machine_block(body: str, machine) -> str:
+    """body, the ``---`` separator, then one key=value line per pair."""
+    return f"{body}\n---\n" + "\n".join(f"{k}={v}" for k, v in machine) + "\n"
+
+
 @dataclass(frozen=True)
 class RenderedReport:
     sections: tuple[tuple[str, str], ...]
@@ -23,15 +28,10 @@ class RenderedReport:
     machine: tuple[tuple[str, str], ...]
 
     def text(self) -> str:
-        blocks = []
-        for title, body in self.sections:
-            blocks.append(f"== {title} ==\n{body}".rstrip())
+        blocks = [f"== {title} ==\n{body}".rstrip() for title, body in self.sections]
         if self.footnotes:
-            notes = "\n".join(f"[{i}] {note}" for i, note in enumerate(self.footnotes, 1))
-            blocks.append(notes)
-        body = "\n\n".join(blocks)
-        machine = "\n".join(f"{k}={v}" for k, v in self.machine)
-        return f"{body}\n---\n{machine}\n"
+            blocks.append("\n".join(f"[{i}] {note}" for i, note in enumerate(self.footnotes, 1)))
+        return _with_machine_block("\n\n".join(blocks), self.machine)
 
 
 def _verification(rep: VerificationReport):

@@ -314,6 +314,7 @@ _MPOLY = emit_mpoly(GOLDEN_ORDER2)
 _LAST_MONOMIAL = len(_MPOLY.split("\n")) - 2
 _QEXP = emit_qexp(normalized_j(10), "J")
 _S3 = emit_group_table(symmetric_group_3())
+_J_QEXP = (resources.files("g0wb") / "data" / "j.qexp").read_text("utf-8")
 
 # name -> text of each input file a refusal row reads
 _REFUSAL_FILES = {
@@ -343,6 +344,10 @@ _REFUSAL_FILES = {
     "g_label.table": _edit_line(_S3, 3, _S3.split("\n")[3].replace("e", "zz")),
     "g_inverse.table": "order: 2\ne a\na a\n",
     "g_associative.table": "order: 3\ne a b\na e a\nb b e\n",
+    "j24.qexp": _J_QEXP.replace("conductor: 1\n", "conductor: 24\n"),
+    "j24_xi.qexp": _J_QEXP.replace("conductor: 1\n", "conductor: 24\n").replace(
+        "\n1 196884\n", "\n1 196884z\n"),
+    "order2_24.mpoly": _edit_line(_MPOLY, 2, "conductor: 24"),
     "big.qexp": _series_with("7" * 4300),
     "big401.qexp": _series_with("9" * 401),
 }
@@ -434,6 +439,12 @@ class TestRefusals:
           "--order", "2", "--target=-5"), 2, "target -5 is below the smallest supported target 0"),
         (("bootstrap", "--series", "data/j.qexp", "--modpoly", "order2.mpoly",
           "--order", "2", "--target=-1"), 2, "target -1 is below the smallest supported target 0"),
+        (("verify", "--series", "j24.qexp", "--modpoly", "order2_24.mpoly", "--order", "2",
+          "--generalised"), 2, "twisted construction needs gcd(m, 24) = 1"),
+        (("verify", "--series", "j24_xi.qexp", "--modpoly", "order2_24.mpoly", "--order", "2",
+          "--generalised"), 2, "twisted construction needs gcd(m, 24) = 1"),
+        (("modpoly", "--series", "j24.qexp", "--order", "2", "--generalised"), 2,
+         "twisted construction needs gcd(m, 24) = 1"),
     ])
     def test_refused_with_one_line(self, capsys, tmp_path, argv, code, reason):
         for name, text in _REFUSAL_FILES.items():
@@ -444,6 +455,16 @@ class TestRefusals:
         assert (got, out) == (code, "")
         assert err.startswith(("error: ", "usage error: ")) and err.count("\n") == 1
         assert reason in err and "Traceback" not in err
+
+    def test_conductor_24_copy_verifies_untwisted(self, capsys, tmp_path):
+        """The twist rows above are refused for the gcd alone: untwisted, the
+        same series and polynomial are consistent."""
+        for name in ("j24.qexp", "order2_24.mpoly"):
+            (tmp_path / name).write_text(_REFUSAL_FILES[name], encoding="utf-8")
+        code, out, err = run(capsys, "verify", "--series", str(tmp_path / "j24.qexp"),
+                             "--modpoly", str(tmp_path / "order2_24.mpoly"), "--order", "2")
+        assert (code, err) == (0, "")
+        assert machine_block(out)["status"] == "consistent"
 
     @pytest.mark.parametrize("k_max", ["0", "-3"])
     def test_replicate_needs_a_positive_k_max(self, capsys, k_max):

@@ -19,8 +19,11 @@ second copies they replaced, kept here as oracles:
   it against h, now the build's own residual bound (``_test_order``);
 - the rewrite of power-basis blocks on a larger basis, row by row through
   the power table, now one ``_fold`` (``exactnum._promote``);
-- the square-and-multiply loop of the corpus oracles, now
-  ``exactnum._square_and_multiply`` (``corpus._dict_pow``);
+- the corpus oracles built on dict series (products, square-and-multiply
+  powers, inversion and the divisor power sum of E4), now Euler's
+  recurrence for prod (1 - q^n)^w(n) on int lists (``corpus._euler_power``);
+- the machine block written by both ``cli._emit`` and
+  ``RenderedReport.text``, now ``report._with_machine_block``;
 - the exponent text of a report, now ``exactnum.format_rational``;
 - three trailing-zero trims, now ``exactnum._trim``;
 - the rational shortcut of ``CyclotomicNumber.__truediv__``, now a product
@@ -63,8 +66,8 @@ from g0wb.braid import (
 )
 from g0wb import qseries
 from g0wb.cli import main
-from g0wb.corpus import (PUBLISHED_DEPTH, PUBLISHED_PREFIXES, _dict_mul, _dict_pow, load_entry,
-                         normalized_j)
+from g0wb.corpus import (PUBLISHED_DEPTH, PUBLISHED_PREFIXES, _euler_power, eta_product_series,
+                         eta_quotient_level2, load_entry, normalized_j)
 from g0wb.errors import (CorruptCorpus, ExpressFailure, InsufficientTruncation, NotCoprime,
                          ParseError)
 from g0wb.exactnum import (CyclotomicNumber, _convolve, _half_ext_gcd, _poly_divmod,
@@ -85,7 +88,7 @@ from g0wb.modeq import (
 )
 from g0wb.numeric import KappaSelection, ResidualPanel, ResidualRow, select_eta_kappa
 from g0wb.qseries import PuiseuxSeries, emit_qexp, parse_qexp
-from g0wb.report import RenderedReport, render
+from g0wb.report import RenderedReport, _with_machine_block, render
 
 
 # -- the replaced loops -----------------------------------------------------------
@@ -702,7 +705,111 @@ def test_value_reports_without_law(capsys, argv, name):
     assert value != 0 and tail >= 0
 
 
-# -- exactnum helpers: promotion, powers, trims, division -------------------------------
+# -- corpus oracles ----------------------------------------------------------------------
+
+def oracle_dict_mul(a, b, top):
+    out = {}
+    for u, x in a.items():
+        for v, y in b.items():
+            if u + v <= top:
+                out[u + v] = out.get(u + v, 0) + x * y
+    return {k: v for k, v in out.items() if v}
+
+
+def oracle_dict_pow(base, exponent, top):
+    result, b, e = {0: 1}, dict(base), exponent
+    while e:
+        if e & 1:
+            result = oracle_dict_mul(result, b, top)
+        e >>= 1
+        if e:
+            b = oracle_dict_mul(b, b, top)
+    return result
+
+
+def oracle_dict_invert(series, top):
+    """Inverse of a series with constant term 1, through q^top."""
+    inv = {0: 1}
+    for n in range(1, top + 1):
+        acc = sum(v * inv.get(n - k, 0) for k, v in series.items() if 0 < k <= n)
+        if acc:
+            inv[n] = -acc
+    return inv
+
+
+def oracle_euler_product(step, top):
+    """prod_{n>=1} (1 - q^(step*n)) through q^top."""
+    out = {0: 1}
+    for n in range(step, top + 1, step):
+        out = oracle_dict_mul(out, {0: 1, n: -1}, top)
+    return out
+
+
+def oracle_sigma(n, power):
+    return sum(d ** power for d in range(1, n + 1) if n % d == 0)
+
+
+def oracle_eta_product_series(factors):
+    product = oracle_euler_product(1, factors)
+    return PuiseuxSeries(1, 24, 1, 24 * factors + 1, {24 * n + 1: c for n, c in product.items()})
+
+
+def _shifted(q_series, constant, depth):
+    """q^-1 * q_series + constant, through q^depth."""
+    shifted = {k - 1: v for k, v in q_series.items() if k - 1 <= depth}
+    shifted[0] = shifted.get(0, 0) + constant
+    return PuiseuxSeries.make({k: v for k, v in shifted.items() if v}, trunc=depth)
+
+
+def oracle_normalized_j(depth):
+    """E4^3 / Delta - 744, E4 from its divisor sums and Delta inverted."""
+    top = depth + 2
+    e4 = {0: 1, **{n: 240 * oracle_sigma(n, 3) for n in range(1, top + 1)}}
+    numerator = oracle_dict_pow(e4, 3, top)
+    unit = oracle_dict_pow(oracle_euler_product(1, top), 24, top)
+    return _shifted(oracle_dict_mul(numerator, oracle_dict_invert(unit, top), top), -744, depth)
+
+
+def oracle_eta_quotient_level2(depth):
+    """(eta(tau) / eta(2 tau))^24 + 24, as a quotient of two 24th powers."""
+    top = depth + 2
+    num = oracle_dict_pow(oracle_euler_product(1, top), 24, top)
+    den = oracle_dict_pow(oracle_euler_product(2, top), 24, top)
+    return _shifted(oracle_dict_mul(num, oracle_dict_invert(den, top), top), 24, depth)
+
+
+@pytest.mark.parametrize("depth", [*range(41), 64, 100, 300])
+def test_hauptmodul_oracles_match_the_dict_construction(depth):
+    assert emit_qexp(normalized_j(depth), "J") == emit_qexp(oracle_normalized_j(depth), "J")
+    assert (emit_qexp(eta_quotient_level2(depth), "T")
+            == emit_qexp(oracle_eta_quotient_level2(depth), "T"))
+
+
+@pytest.mark.parametrize("factors", [1, 2, 3, 10, 50, 120, 300])
+def test_eta_product_matches_the_dict_construction(factors):
+    assert (emit_qexp(eta_product_series(factors), "E")
+            == emit_qexp(oracle_eta_product_series(factors), "E"))
+
+
+def oracle_euler_power(weights, top):
+    """prod_n (1 - q^n)^weights[n] as a product of dict powers, a negative
+    weight by inverting the power."""
+    out = {0: 1}
+    for n, w in enumerate(weights[1:], 1):
+        power = oracle_dict_pow({0: 1, n: -1}, abs(w), top)
+        out = oracle_dict_mul(out, power if w >= 0 else oracle_dict_invert(power, top), top)
+    return [out.get(k, 0) for k in range(top + 1)]
+
+
+def test_euler_power_matches_the_dict_product():
+    rng = random.Random(18)
+    for _ in range(60):
+        top = rng.randint(0, 24)
+        weights = [0] + [rng.randint(-30, 30) if rng.random() < 0.7 else 0 for _ in range(top)]
+        assert _euler_power(weights.__getitem__, top) == oracle_euler_power(weights, top), weights
+
+
+# -- exactnum helpers: promotion, trims, division ----------------------------------------------
 
 def oracle_promote(vec, basis, target, power=1):
     """Each basis entry i scattered through the power-table row of its
@@ -727,29 +834,6 @@ def test_promote_matches_the_row_scatter():
                 vec = [rng.randint(-9, 9) for _ in range(phi * rng.randint(0, 2))]
                 got = _promote(vec, basis, target, power)
                 assert got == oracle_promote(vec, basis, target, power), (basis, target, power)
-
-
-def oracle_dict_pow(base, exponent, top):
-    result = {0: 1}
-    b = dict(base)
-    e = exponent
-    while e:
-        if e & 1:
-            result = _dict_mul(result, b, top)
-        e >>= 1
-        if e:
-            b = _dict_mul(b, b, top)
-    return result
-
-
-def test_dict_pow_matches_the_loop():
-    rng = random.Random(13)
-    for _ in range(12):
-        top = rng.randint(0, 25)
-        base = {rng.randint(0, 12): rng.randint(-5, 5) for _ in range(rng.randint(0, 6))}
-        for exponent in range(31):
-            got = _dict_pow(base, exponent, top)
-            assert list(got.items()) == list(oracle_dict_pow(base, exponent, top).items())
 
 
 def oracle_format_exponent(value):
@@ -998,3 +1082,15 @@ def test_render_matches_the_two_helpers_per_type():
     for obj in [*_reports(), *_classifications(), *_panels()]:
         for footnotes in ((), ("q^-1..q^3: published reference expansion",)):
             assert render(obj, footnotes).text() == oracle_render_text(obj, footnotes), obj
+
+
+def oracle_emit(body, machine):
+    """cli._emit's own writer; every caller passes a non-empty body."""
+    pairs = "\n".join(f"{k}={v}" for k, v in machine)
+    return f"{body}\n---\n{pairs}\n"
+
+
+@pytest.mark.parametrize("body", ["degree(s1 s2) = 2", "k = 1: holds\nk = 2: FAILS", "x\n\ny"])
+def test_machine_block_matches_the_emit_writer(body):
+    for machine in ([("degree", 2)], [("order", "2"), ("status", "consistent"), ("n", -1)]):
+        assert _with_machine_block(body, machine) == oracle_emit(body, machine)
