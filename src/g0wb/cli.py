@@ -288,8 +288,8 @@ def _cmd_quilt(args) -> int:
     except KeyError as exc:
         raise UsageError(exc.args[0]) from exc
     orbit = braidmod.quilt_orbit(pair, table)
-    # rows in the order of "(g," and columns in that of "h)"; the closing sort
-    # of the nearly sorted list mends a label extending another past a comma
+    # rows in the order of "(g," and columns in that of "h)": with no comma in
+    # a label, that is the order of the "(g,h)" texts
     n, labels = table.order, table.labels
     cols = sorted(range(n), key=lambda h: labels[h] + ")")
     col_of = {h: i for i, h in enumerate(cols)}
@@ -300,7 +300,6 @@ def _cmd_quilt(args) -> int:
     pretty = []
     for g in sorted(range(n), key=lambda g: "(" + labels[g] + ","):
         pretty += map(f"({labels[g]},".__add__, compress(tails, marks[g * n:g * n + n]))
-    pretty.sort()
     elements = " ".join(pretty)
     _emit("orbit of (%s,%s): size %d\n%s" % (parts[0].strip(), parts[1].strip(),
                                              len(orbit), elements),

@@ -10,9 +10,9 @@ Y-coefficients (the power-sum view of Conway-Norton 1979 and of Alexander,
 Cummins, McKay and Simons 1992); build expresses each as a polynomial in h
 and verification compares them with F(h, Y).
 
-Powers of h come from the ladder cached on h; a build takes the e_j one
-at a time, stops at the first that fails, and kills poles on powers of h
-cut to q^(trunc // m + psi(m)).  Constants are exact numbers, not series.
+Powers of h come from the ladder cached on h; a build takes the e_j one at
+a time and stops at the first that fails.  Build and verification read the
+powers of one cut, and maybe twisted, generator.  Constants are exact.
 
 The coset set uses the primitive pairs (d, k) with d | m, 0 <= k < d and
 gcd(m/d, k, d) = 1, which is exactly what makes |A_m| = psi(m) and the
@@ -25,7 +25,6 @@ normalization is wanted.
 
 from __future__ import annotations
 
-import collections
 import functools
 import itertools
 import math
@@ -60,11 +59,14 @@ def check_order(m: int, poly: ModularPolynomial | None = None) -> int:
     """Refuse an order above MAX_ORDER before any work (psi factors m by
     trial division, and a build's Newton sums grow as psi(m)^2 series
     products even for a two-term input), an order below 2 (no coset set),
-    then an input polynomial whose degrees are not psi(m); return psi(m)."""
+    then an input polynomial of another order or of degrees other than
+    psi(m) (psi(4) = psi(5)); return psi(m)."""
     if m > MAX_ORDER:
         raise UsageError(f"order {m} exceeds the largest supported order {MAX_ORDER}")
     if m < 2:
         raise UsageError(f"order {m} is below the smallest supported order 2")
+    if poly is not None and poly.m != m:
+        raise UsageError(f"polynomial of order {poly.m} given for order {m}")
     n = psi(m)
     if poly is not None and (poly.degx != n or poly.degy != n):
         raise UsageError(f"polynomial degrees ({poly.degx}, {poly.degy}) != psi({m}) = {n}")
@@ -104,17 +106,16 @@ def coset_set(m: int) -> CosetSet:
     """
     if m < 2:
         raise ValueError("coset sets are defined for m >= 2")
-    pairs = [
+    pairs = tuple(
         (d, k)
         for d in range(1, m + 1)
         if m % d == 0
         for k in range(d)
         if math.gcd(math.gcd(m // d, k), d) == 1
-    ]
-    pairs.sort()
+    )
     if len(pairs) != psi(m):
         raise AssertionError(f"coset set size {len(pairs)} != psi({m}) = {psi(m)}")
-    return CosetSet(m, tuple(pairs))
+    return CosetSet(m, pairs)
 
 
 @functools.lru_cache(maxsize=None)
@@ -144,9 +145,9 @@ def _coset_elementary(h: PuiseuxSeries, m: int) -> Iterator[PuiseuxSeries]:
     caller that stops after e_j never multiplies out h^(j+1).  e_0 = 1 is
     exact; it is handed out determined through q^(10^9), the bound the
     coset-product oracle of the tests gives it."""
-    classes = sorted(collections.Counter(d for d, _ in coset_set(m).pairs).items())
-    # per class: power sums p_1.., elementary e_0.., and the elementary
-    # functions of the roots of this class and every earlier one
+    classes = [(d, _class_weights(m, d)[0]) for d in range(1, m + 1) if m % d == 0]
+    # per class d, of size |K_d| = w_d(0): power sums p_1.., elementary e_0..,
+    # and the elementary functions of the roots of this class and every earlier one
     sums = [[] for _ in classes]
     es, totals = ([[1] for _ in classes] for _ in range(2))
     yield PuiseuxSeries.make({0: 1}, trunc=10**9)
@@ -255,13 +256,7 @@ def _express(f: PuiseuxSeries, h: PuiseuxSeries) -> tuple[UnivariatePoly, Fracti
 
     With h = q^-1 + ... determined through q^D, h^k is determined through
     q^(D-k+1), so the residual keeps the bound of f while D - pole_order(f)
-    + 1 >= that bound.  _build cuts h to D = trunc // m + psi(m): the pole
-    of e_j is at most the sum psi(m) of the root poles m/d^2, and e_j
-    (j >= 1) is determined at most through q^(trunc/m).  For j <= m it has
-    the term p_j/j of the class d = m; for j > m a term e_b(class m) *
-    e_a(classes d < m), 1 <= b <= m, with a at a vertex of the Newton
-    polygon of the classes d < m, where e_a has valuation at most -m (its
-    vertices are at most m/2 apart, the class sizes)."""
+    + 1 >= that bound (for a build's e_j on the cut h, see _generator)."""
     if not h.is_moonshine_shape():
         raise ShapeError("generator must be q^-1 + O(q) with zero constant term")
     if f.denom != 1:
@@ -388,10 +383,21 @@ def build_modular_polynomial(h: PuiseuxSeries, m: int,
     return _build(h, m, generalised)[0]
 
 
-def _check_twist(h: PuiseuxSeries, m: int, generalised: bool) -> None:
-    """sigma_m is an automorphism of Q[xi_N] only for m prime to N."""
+def _generator(h: PuiseuxSeries, m: int, generalised: bool) -> PuiseuxSeries:
+    """h cut to q^min(trunc, trunc // m + psi(m)), twisted by sigma_m (an
+    automorphism of Q[xi_N] only for m prime to N) when generalised.  No e_j
+    has a pole of order above psi(m), the sum of the root poles m/d^2, and
+    e_j (j >= 1) is determined at most through q^(trunc/m): for j <= m it has
+    the term p_j/j of the class d = m; for j > m a term e_b(class m) *
+    e_a(classes d < m), 1 <= b <= m, with a at a vertex of the Newton polygon
+    of the classes d < m, where e_a has valuation at most -m (its vertices
+    are at most m/2 apart, the class sizes).  The cut h^i, i <= psi(m), are
+    determined through q^(trunc // m + 1), so each e_j - P_j(h) keeps its
+    bound and its first nonzero term."""
     if generalised and math.gcd(m, h.conductor) != 1:
         raise UsageError(f"twisted construction needs gcd(m, {h.conductor}) = 1")
+    cut = h.truncate(min(h.trunc, h.trunc // m + psi(m)))
+    return cut.map_coefficients(lambda c: c.galois(m)) if generalised else cut
 
 
 def _build(h: PuiseuxSeries, m: int, generalised: bool) -> tuple[ModularPolynomial, Fraction]:
@@ -400,8 +406,8 @@ def _build(h: PuiseuxSeries, m: int, generalised: bool) -> tuple[ModularPolynomi
     verifies against h as consistent to exactly that bound."""
     if not h.is_moonshine_shape():
         raise ShapeError("modular polynomial construction needs q^-1 + O(q) input")
-    _check_twist(h, m, generalised)
     degree = check_order(m)
+    generator = _generator(h, m, generalised)
     need = required_truncation(m)
     if h.trunc < need:
         raise InsufficientTruncation(
@@ -409,11 +415,6 @@ def _build(h: PuiseuxSeries, m: int, generalised: bool) -> tuple[ModularPolynomi
             f"have q^{h.trunc}",
             required=need,
         )
-    # no e_j is determined past q^(trunc/m) or has a pole of order above
-    # psi(m) (see _express), so every residual keeps its bound on this cut
-    generator = h.truncate(h.trunc // m + degree)
-    if generalised:
-        generator = generator.map_coefficients(lambda c: c.galois(m))
     slices: dict[tuple[int, int], Coeff] = {}
     bounds: dict[int, Fraction] = {}
     for j, e_j in enumerate(_coset_elementary(h, m)):
@@ -450,18 +451,16 @@ def verify_modular_equation(h: PuiseuxSeries, poly: ModularPolynomial, m: int,
                             generalised: bool = False) -> VerificationReport:
     """Check that the product over coset substitutions equals F(h(tau), Y).
 
-    Both sides are expanded as polynomials in Y, the product side from the
-    class power sums the build uses, and compared to the largest order the
-    input truncation supports.  Failures are reported in-band, never raised;
+    Both sides are expanded as polynomials in Y from what the build reads
+    (class power sums, powers of _generator) and compared to the largest
+    order the input truncation supports.  Failures are reported in-band, never raised;
     both values of a failure are written on lcm(h.conductor, poly.conductor).
     """
     check_order(m, poly)
     if not h.is_moonshine_shape():
         raise ShapeError("verification needs q^-1 + O(q) input")
-    _check_twist(h, m, generalised)
+    powers = _generator(h, m, generalised)._powers(poly.degx)
     elementary = list(_coset_elementary(h, m))
-    generator = h if not generalised else h.map_coefficients(lambda c: c.galois(m))
-    powers = generator._powers(poly.degx)
     verified_to: Fraction | None = None
     for t, slice_map in enumerate(poly.y_slices()):
         lhs, sign = elementary[-1 - t], (-1) ** t

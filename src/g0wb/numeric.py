@@ -1,6 +1,6 @@
 """Double-precision evaluation of q-series, the eta product, and Eisenstein
 lattice sums, with explicit tail estimates, plus numeric checks of
-weight-k transformation laws and the lift of a form to the group.
+weight-k transformation laws and the choice of the eta-multiplier constant.
 
 Exactness lives elsewhere; everything here is ordinary complex arithmetic
 with a reported error bound.  Evaluation close to the real line (im < 0.1)

@@ -329,6 +329,8 @@ _REFUSAL_FILES = {
                                 _MPOLY.split("\n")[_LAST_MONOMIAL].rsplit(" ", 1)[0] + " 0"),
     "wrong_degree.mpoly": _MPOLY.replace("order: 2", "order: 3"),
     "order2.mpoly": _MPOLY,
+    # psi(4) = psi(5) = 6, so only the header tells this from an order-4 polynomial
+    "order5.mpoly": emit_mpoly(build_modular_polynomial(load_entry("j").series, 5)),
     "q_blank.qexp": _edit_line(_QEXP, 7, ""),
     "q_fields.qexp": _edit_line(_QEXP, 7, "1"),
     "q_numerator.qexp": _edit_line(_QEXP, 7, "x 196884"),
@@ -445,6 +447,10 @@ class TestRefusals:
           "--generalised"), 2, "twisted construction needs gcd(m, 24) = 1"),
         (("modpoly", "--series", "j24.qexp", "--order", "2", "--generalised"), 2,
          "twisted construction needs gcd(m, 24) = 1"),
+        (("verify", "--series", "data/j.qexp", "--modpoly", "order5.mpoly", "--order", "4"), 2,
+         "polynomial of order 5 given for order 4"),
+        (("bootstrap", "--series", "data/j.qexp", "--modpoly", "order5.mpoly", "--order", "4",
+          "--target", "80"), 2, "polynomial of order 5 given for order 4"),
     ])
     def test_refused_with_one_line(self, capsys, tmp_path, argv, code, reason):
         for name, text in _REFUSAL_FILES.items():

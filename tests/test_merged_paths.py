@@ -35,11 +35,17 @@ second copies they replaced, kept here as oracles:
   opened each orbit at ``min(remaining)``, now at the next unmarked pair
   (``quilt_orbits``);
 - the quilt listing by sorting the text of every pair, now rows and columns
-  in label order with one closing sort (``cli._cmd_quilt``).
+  in label order, which is the sorted order while no label holds a comma
+  (``cli._cmd_quilt``);
+- verification on the full h, twisted whole after its own gcd(m, N) check,
+  now on the build's cut and twisted generator (``modeq._generator``);
+- the class sizes of the coset product counted from ``coset_set(m).pairs``,
+  now w_d(0) (``modeq._class_weights``).
 
 Also the value reports of ``eta`` and ``eisenstein`` without ``--law``,
 which share one emitter with ``eval``."""
 
+import collections
 import itertools
 import math
 import random
@@ -69,18 +75,23 @@ from g0wb.cli import main
 from g0wb.corpus import (PUBLISHED_DEPTH, PUBLISHED_PREFIXES, _euler_power, eta_product_series,
                          eta_quotient_level2, load_entry, normalized_j)
 from g0wb.errors import (CorruptCorpus, ExpressFailure, InsufficientTruncation, NotCoprime,
-                         ParseError)
+                         ParseError, UsageError)
 from g0wb.exactnum import (CyclotomicNumber, _convolve, _half_ext_gcd, _poly_divmod,
                            _power_table, _promote, _trim, cyclotomic_polynomial, euler_phi,
                            format_rational, parse_cyclotomic, parse_rational)
 from g0wb.hauptmodul import (Classification, _is_admissible_xi, _test_order, classify,
                              detect_fiction)
 from g0wb.modeq import (
+    MAX_ORDER,
     ModularPolynomial,
     UnivariatePoly,
     VerificationReport,
     _build,
+    _class_weights,
+    _coset_elementary,
     build_modular_polynomial,
+    check_order,
+    coset_set,
     express_in_generator,
     required_truncation,
     symmetry_check,
@@ -672,6 +683,113 @@ def test_twisted_build_bound_is_the_verified_depth(n, m):
     poly, bound = _build(h, m, True)
     report = verify_modular_equation(h, poly, m, generalised=True)
     assert (report.status, report.verified_to) == ("consistent", bound)
+
+
+# -- verification on the build's generator ----------------------------------------------
+
+def oracle_verify(h, poly, m, generalised=False):
+    """Verification on the full h: every power of h (twisted whole when
+    generalised) multiplied out to the depth of h."""
+    check_order(m, poly)
+    if generalised and math.gcd(m, h.conductor) != 1:
+        raise UsageError(f"twisted construction needs gcd(m, {h.conductor}) = 1")
+    elementary = list(_coset_elementary(h, m))
+    generator = h if not generalised else h.map_coefficients(lambda c: c.galois(m))
+    powers = generator._powers(poly.degx)
+    verified_to = None
+    for t, slice_map in enumerate(poly.y_slices()):
+        lhs, sign = elementary[-1 - t], (-1) ** t
+        diff = qseries._linear([(c, powers[i]) for i, c in slice_map.items()] + [(-sign, lhs)])
+        bound = diff.trunc_exponent()
+        verified_to = bound if verified_to is None else min(verified_to, bound)
+        if bound < 0:
+            return VerificationReport(m, bound, "insufficient-data")
+        e = diff.min_nonzero_exponent()
+        if e is not None:
+            field = math.lcm(h.conductor, poly.conductor)
+            expected = (lhs.coefficient(e) * sign).promote(field)
+            actual = (expected + diff.coefficient(e)).promote(field)
+            return VerificationReport(m, verified_to, "inconsistent",
+                                      first_failure=(e, expected, actual))
+    return VerificationReport(m, verified_to, "consistent")
+
+
+def _fresh(h):
+    """A copy of h with no cached powers, so neither side reads the other's."""
+    return PuiseuxSeries.make(dict(h.coeffs), trunc=h.trunc, conductor=h.conductor)
+
+
+def _assert_same_verification(h, poly, m, generalised=False):
+    report = verify_modular_equation(_fresh(h), poly, m, generalised)
+    assert report == oracle_verify(_fresh(h), poly, m, generalised)
+    return report
+
+
+@pytest.mark.parametrize("m", range(2, 13))
+def test_verify_matches_the_full_generator_on_j(m):
+    h = normalized_j(required_truncation(m))
+    report = _assert_same_verification(h, build_modular_polynomial(h, m), m)
+    assert report.status == "consistent"
+
+
+def test_verify_matches_the_full_generator_on_perturbed_and_shallow_series():
+    for stem, orders in (("j", (2, 3)), ("g0_2", (3, 5))):
+        series = load_entry(stem).series
+        for m in orders:
+            poly = build_modular_polynomial(series, m)
+            assert _assert_same_verification(series, poly, m).status == "consistent"
+            for exponent in range(1, 11):
+                report = _assert_same_verification(_perturbed(series, exponent, 1), poly, m)
+                assert report.status == "inconsistent", (stem, m, exponent)
+            # while trunc <= trunc // m + psi(m) the generator is h uncut
+            for trunc in range(0, 2 * check_order(m) + 2):
+                _assert_same_verification(series.truncate(trunc), poly, m)
+            assert _assert_same_verification(
+                series.truncate(1), poly, m).status == "insufficient-data"
+
+
+@pytest.mark.parametrize("n, m", [(3, 2), (3, 5), (24, 5), (24, 7)])
+def test_twisted_verify_matches_the_full_generator(n, m):
+    h = _twisted_j(n, required_truncation(m))
+    poly = build_modular_polynomial(h, m, generalised=True)
+    assert _assert_same_verification(h, poly, m, True).status == "consistent"
+    assert _assert_same_verification(
+        _perturbed(h, 3, 1), poly, m, True).status == "inconsistent"
+    assert _assert_same_verification(h, poly, m).status == "inconsistent"
+
+
+def test_twist_refusal_comes_before_any_expansion():
+    j = normalized_j(required_truncation(2))
+    h, poly = j.with_conductor(24), build_modular_polynomial(j, 2)
+    with mock.patch("g0wb.modeq._coset_elementary") as expand:
+        with pytest.raises(UsageError, match=r"gcd\(m, 24\) = 1"):
+            verify_modular_equation(h, poly, 2, True)
+        with pytest.raises(UsageError, match=r"gcd\(m, 24\) = 1"):
+            oracle_verify(h, poly, 2, True)
+    assert not expand.called
+
+
+@pytest.mark.parametrize("key", [(1, 3), (3, 3), (0, 3)])
+def test_verify_matches_the_full_generator_on_an_edited_top_slice(key):
+    """The y^psi slice, compared with e_0 = 1 last, given an x term or
+    its constant term removed."""
+    series = load_entry("j").series
+    poly = build_modular_polynomial(series, 2)
+    coeffs = dict(poly.coeffs)
+    coeffs[key] = coeffs.get(key, CyclotomicNumber.zero()) + 1
+    if coeffs[key].is_zero():
+        del coeffs[key]
+    edited = ModularPolynomial(2, 1, coeffs, 3, 3)
+    report = _assert_same_verification(series, edited, 2)
+    assert report.status == "inconsistent" and report.first_failure[0] <= 0
+
+
+def test_class_sizes_are_the_weights_at_zero():
+    for m in range(2, MAX_ORDER + 1):
+        counts = collections.Counter(d for d, _ in coset_set(m).pairs)
+        sizes = {d: _class_weights(m, d)[0] for d in range(1, m + 1) if m % d == 0}
+        assert sizes == counts, m
+        assert sum(sizes.values()) == len(coset_set(m)) == check_order(m), m
 
 
 # -- value reports ---------------------------------------------------------------------
