@@ -1,7 +1,9 @@
 """Command-line front end.
 
 Every subcommand is a thin adapter over the library: identical inputs give
-identical machine-block values through either route.  Exit codes: 0 for
+identical machine-block values through either route.  Each handler returns
+its report and exit code, and ``main`` alone writes stdout, so a refusal
+leaves stdout empty and only --out writes a file.  Exit codes: 0 for
 success, 1 for a mathematically meaningful failure (an inconsistent
 verification, a fiction mismatch, a failed law), 2 for a UsageError or an
 argparse error, 3 for file or data problems.
@@ -87,94 +89,92 @@ def _fmt_complex(z: complex) -> str:
     return f"{z.real:.12g}{z.imag:+.12g}i"
 
 
-def _emit(body: str, machine: list[tuple[str, str]]) -> None:
-    sys.stdout.write(_with_machine_block(body, machine))
+def _report(body: str, machine: list[tuple[str, str]], code: int = EXIT_OK) -> tuple[str, int]:
+    return _with_machine_block(body, machine), code
 
 
-def _emit_value(name: str, result, terms: bool = False) -> None:
+def _emit_value(name: str, result, terms: bool = False) -> tuple[str, int]:
     """The value report of eval, eta and eisenstein; ``terms`` adds the
     number of terms summed."""
     count = f", {result.terms_used} terms" if terms else ""
-    _emit(f"{name} = {_fmt_complex(result.value)}  (tail {result.tail_estimate:.3e}{count})",
-          [("value_re", f"{result.value.real:.16g}"), ("value_im", f"{result.value.imag:.16g}"),
-           ("tail", f"{result.tail_estimate:.6e}")]
-          + ([("terms", str(result.terms_used))] if terms else []))
+    return _report(
+        f"{name} = {_fmt_complex(result.value)}  (tail {result.tail_estimate:.3e}{count})",
+        [("value_re", f"{result.value.real:.16g}"), ("value_im", f"{result.value.imag:.16g}"),
+         ("tail", f"{result.tail_estimate:.6e}")]
+        + ([("terms", str(result.terms_used))] if terms else []))
 
 
 def _entries(mat) -> str:
     return ",".join(map(format_rational, mat.entries()))
 
 
-def _write_or_print(text: str, out: str | None) -> None:
+def _written(text: str, out: str | None, summary: str,
+             machine: list[tuple[str, str]]) -> tuple[str, int]:
+    """The report of modpoly and bootstrap: the text itself, or with --out
+    the text written there and a summary report."""
     if out is None:
-        sys.stdout.write(text)
-    else:
-        with open(out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+        return text, EXIT_OK
+    with open(out, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(text)
+    return _report(summary, machine)
 
 
 # -- subcommand handlers ------------------------------------------------------
 
-def _cmd_modpoly(args) -> int:
+def _cmd_modpoly(args) -> tuple[str, int]:
     series, label, _ = _load_series(args.series)
     poly = build_modular_polynomial(series, args.order,
                                     generalised=args.generalised)
-    text = emit_mpoly(poly)
-    _write_or_print(text, args.out)
-    if args.out is not None:
-        _emit(f"order-{args.order} polynomial for {label} written to {args.out}",
-              [("order", str(args.order)), ("degx", str(poly.degx)),
-               ("degy", str(poly.degy)), ("out", args.out)])
-    return EXIT_OK
+    return _written(emit_mpoly(poly), args.out,
+                    f"order-{args.order} polynomial for {label} written to {args.out}",
+                    [("order", str(args.order)), ("degx", str(poly.degx)),
+                     ("degy", str(poly.degy)), ("out", args.out)])
 
 
-def _cmd_verify(args) -> int:
+def _cmd_verify(args) -> tuple[str, int]:
     series, _, notes = _load_series(args.series)
     poly = parse_mpoly(_read_input(args.modpoly, "polynomial"))
     rep = verify_modular_equation(series, poly, args.order,
                                   generalised=args.generalised)
-    sys.stdout.write(render(rep, footnotes=notes).text())
-    return EXIT_FAILED if rep.status == "inconsistent" else EXIT_OK
+    return (render(rep, footnotes=notes).text(),
+            EXIT_FAILED if rep.status == "inconsistent" else EXIT_OK)
 
 
-def _cmd_classify(args) -> int:
+def _cmd_classify(args) -> tuple[str, int]:
     series, _, notes = _load_series(args.series)
     try:
         orders = [int(tok) for tok in args.orders.split(",") if tok]
     except ValueError as exc:
         raise UsageError(*exc.args) from exc
     result = classify(series, orders)
-    sys.stdout.write(render(result, footnotes=notes).text())
-    return EXIT_FAILED if result.verdict == "inconsistent" else EXIT_OK
+    return (render(result, footnotes=notes).text(),
+            EXIT_FAILED if result.verdict == "inconsistent" else EXIT_OK)
 
 
-def _cmd_bootstrap(args) -> int:
+def _cmd_bootstrap(args) -> tuple[str, int]:
     series, label, _ = _load_series(args.series)
     poly = parse_mpoly(_read_input(args.modpoly, "polynomial"))
     extended = bootstrap_extend(series, poly, args.order, args.target)
-    text = emit_qexp(extended, label)
-    _write_or_print(text, args.out)
-    if args.out is not None:
-        _emit(f"{label} extended to q^{args.target} and written to {args.out}",
-              [("target", str(args.target)), ("trunc", str(extended.trunc)),
-               ("out", args.out)])
-    return EXIT_OK
+    return _written(emit_qexp(extended, label), args.out,
+                    f"{label} extended to q^{args.target} and written to {args.out}",
+                    [("target", str(args.target)), ("trunc", str(extended.trunc)),
+                     ("out", args.out)])
 
 
-def _cmd_replicate(args) -> int:
+def _cmd_replicate(args) -> tuple[str, int]:
     series, _, _ = _load_series(args.series)
     square, _, _ = _load_series(args.square)
     # a --k-max below 1 reaches check_replication's own refusal
     ks = range(1, args.k_max + 1) or [args.k_max]
     holds = [(k, check_replication(series, square, k)) for k in ks]
     all_ok = all(ok for _, ok in holds)
-    _emit("\n".join(f"k = {k}: {'holds' if ok else 'FAILS'}" for k, ok in holds),
-          [(f"k_{k}", "true" if ok else "false") for k, ok in holds]
-          + [("all", "true" if all_ok else "false")])
-    return EXIT_OK if all_ok else EXIT_FAILED
+    return _report("\n".join(f"k = {k}: {'holds' if ok else 'FAILS'}" for k, ok in holds),
+                   [(f"k_{k}", "true" if ok else "false") for k, ok in holds]
+                   + [("all", "true" if all_ok else "false")],
+                   EXIT_OK if all_ok else EXIT_FAILED)
 
 
-def _cmd_avg(args) -> int:
+def _cmd_avg(args) -> tuple[str, int]:
     series, label, _ = _load_series(args.series)
     averaged = average_sum(series, args.prime)
     machine: list[tuple[str, str]] = [("prime", str(args.prime)),
@@ -184,50 +184,45 @@ def _cmd_avg(args) -> int:
         poly = express_in_generator(averaged, series)
         body += f"\nexpressed in generator: {poly}"
         machine.append(("expressed", str(poly)))
-    _emit(body, machine)
-    return EXIT_OK
+    return _report(body, machine)
 
 
-def _cmd_member(args) -> int:
+def _cmd_member(args) -> tuple[str, int]:
     mat = parse_matrix(args.matrix)
     ok = congruence_membership(mat, args.level, args.flavor)
-    _emit(f"{mat} in {args.flavor}({args.level}): {'yes' if ok else 'no'}",
-          [("member", "true" if ok else "false"),
-           ("level", str(args.level)), ("flavor", args.flavor)])
-    return EXIT_OK
+    return _report(f"{mat} in {args.flavor}({args.level}): {'yes' if ok else 'no'}",
+                   [("member", "true" if ok else "false"),
+                    ("level", str(args.level)), ("flavor", args.flavor)])
 
 
-def _cmd_eval(args) -> int:
+def _cmd_eval(args) -> tuple[str, int]:
     series, label, _ = _load_series(args.series)
     tau = _parse_tau(args.tau)
-    _emit_value(f"{label}({args.tau})", eval_series(series, tau), terms=True)
-    return EXIT_OK
+    return _emit_value(f"{label}({args.tau})", eval_series(series, tau), terms=True)
 
 
-def _cmd_eta(args) -> int:
+def _cmd_eta(args) -> tuple[str, int]:
     tau = _parse_tau(args.tau)
     if not args.law:
-        _emit_value(f"eta({args.tau})", eta_eval(tau, args.terms))
-        return EXIT_OK
+        return _emit_value(f"eta({args.tau})", eta_eval(tau, args.terms))
     if args.matrix is None:
         raise ParseError("--law needs --matrix a,b,c,d")
     mat = parse_matrix(args.matrix)
     mu = braidmod.eta_multiplier_matrix(mat)
     residual = check_weight_law(eta_evaluator(args.terms), mat, Fraction(1, 2), mu, tau)
     ok = residual < ETA_LAW_TOLERANCE
-    _emit(f"weight-1/2 law for {mat} at tau={args.tau}: residual {residual:.3e} "
-          f"(tolerance {ETA_LAW_TOLERANCE:.1e}) {'pass' if ok else 'FAIL'}",
-          [("residual", f"{residual:.6e}"), ("tolerance", f"{ETA_LAW_TOLERANCE:.1e}"),
-           ("kappa", str(braidmod.DEFAULT_ETA_KAPPA)),
-           ("law", "pass" if ok else "fail")])
-    return EXIT_OK if ok else EXIT_FAILED
+    return _report(f"weight-1/2 law for {mat} at tau={args.tau}: residual {residual:.3e} "
+                   f"(tolerance {ETA_LAW_TOLERANCE:.1e}) {'pass' if ok else 'FAIL'}",
+                   [("residual", f"{residual:.6e}"), ("tolerance", f"{ETA_LAW_TOLERANCE:.1e}"),
+                    ("kappa", str(braidmod.DEFAULT_ETA_KAPPA)),
+                    ("law", "pass" if ok else "fail")],
+                   EXIT_OK if ok else EXIT_FAILED)
 
 
-def _cmd_eisenstein(args) -> int:
+def _cmd_eisenstein(args) -> tuple[str, int]:
     tau = _parse_tau(args.tau)
     if not args.law:
-        _emit_value(f"E{args.k}({args.tau})", eisenstein_eval(args.k, tau, args.radius))
-        return EXIT_OK
+        return _emit_value(f"E{args.k}({args.tau})", eisenstein_eval(args.k, tau, args.radius))
     if args.matrix is None:
         raise ParseError("--law needs --matrix a,b,c,d")
     mat = parse_matrix(args.matrix)
@@ -239,33 +234,29 @@ def _cmd_eisenstein(args) -> int:
     tolerance = (f(image).tail_estimate
                  + abs((mat.c * t + mat.d) ** args.k) * f(tau).tail_estimate)
     ok = residual < tolerance
-    _emit(f"weight-{args.k} law for {mat} at tau={args.tau}: residual {residual:.3e} "
-          f"(combined tails {tolerance:.3e}) {'pass' if ok else 'FAIL'}",
-          [("residual", f"{residual:.6e}"), ("tolerance", f"{tolerance:.6e}"),
-           ("law", "pass" if ok else "fail")])
-    return EXIT_OK if ok else EXIT_FAILED
+    return _report(f"weight-{args.k} law for {mat} at tau={args.tau}: residual {residual:.3e} "
+                   f"(combined tails {tolerance:.3e}) {'pass' if ok else 'FAIL'}",
+                   [("residual", f"{residual:.6e}"), ("tolerance", f"{tolerance:.6e}"),
+                    ("law", "pass" if ok else "fail")],
+                   EXIT_OK if ok else EXIT_FAILED)
 
 
-def _cmd_braid(args) -> int:
+def _cmd_braid(args) -> tuple[str, int]:
     word = braidmod.BraidWord.parse(args.word)
     if args.action == "degree":
         d = format_rational(braidmod.degree(word))
-        _emit(f"degree({word}) = {d}", [("degree", d)])
-        return EXIT_OK
+        return _report(f"degree({word}) = {d}", [("degree", d)])
     if args.action == "burau":
         mat = braidmod.burau(word)
-        _emit(f"projection({word}) = {mat}", [("matrix", _entries(mat))])
-        return EXIT_OK
+        return _report(f"projection({word}) = {mat}", [("matrix", _entries(mat))])
     if args.action == "multiplier":
         mu = braidmod.braid_multiplier(word)
-        _emit(f"multiplier({word}) = {mu.literal()} (conductor 24)",
-              [("multiplier", mu.literal()), ("conductor", "24")])
-        return EXIT_OK
+        return _report(f"multiplier({word}) = {mu.literal()} (conductor 24)",
+                       [("multiplier", mu.literal()), ("conductor", "24")])
     lifted = braidmod.lift_braid(word)
     mat = lifted.matrix
     n = format_rational(lifted.n)
-    _emit(f"lift({word}) = ({mat}, n={n})", [("matrix", _entries(mat)), ("n", n)])
-    return EXIT_OK
+    return _report(f"lift({word}) = ({mat}, n={n})", [("matrix", _entries(mat)), ("n", n)])
 
 
 _BUILTIN_GROUPS = {
@@ -275,7 +266,7 @@ _BUILTIN_GROUPS = {
 }
 
 
-def _cmd_quilt(args) -> int:
+def _cmd_quilt(args) -> tuple[str, int]:
     if args.group in _BUILTIN_GROUPS and not os.path.exists(args.group):
         table = _BUILTIN_GROUPS[args.group]()
     else:
@@ -301,16 +292,14 @@ def _cmd_quilt(args) -> int:
     for g in sorted(range(n), key=lambda g: "(" + labels[g] + ","):
         pretty += map(f"({labels[g]},".__add__, compress(tails, marks[g * n:g * n + n]))
     elements = " ".join(pretty)
-    _emit("orbit of (%s,%s): size %d\n%s" % (parts[0].strip(), parts[1].strip(),
-                                             len(orbit), elements),
-          [("orbit_size", str(len(orbit))), ("elements", elements)])
-    return EXIT_OK
+    return _report("orbit of (%s,%s): size %d\n%s" % (parts[0].strip(), parts[1].strip(),
+                                                      len(orbit), elements),
+                   [("orbit_size", str(len(orbit))), ("elements", elements)])
 
 
-def _cmd_kappa(args) -> int:
+def _cmd_kappa(args) -> tuple[str, int]:
     selection = select_eta_kappa(terms=args.terms)
-    sys.stdout.write(render(selection).text())
-    return EXIT_OK if selection.winner is not None else EXIT_FAILED
+    return render(selection).text(), EXIT_OK if selection.winner is not None else EXIT_FAILED
 
 
 _REQUIRED = {"required": True}
@@ -379,7 +368,9 @@ _parser = functools.cache(build_parser)
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
-        return args.fn(args)
+        text, code = args.fn(args)
+        sys.stdout.write(text)
+        return code
     except UsageError as exc:
         sys.stderr.write(f"usage error: {exc}\n")
         return EXIT_USAGE

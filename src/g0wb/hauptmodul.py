@@ -271,7 +271,7 @@ def _columns(s: PuiseuxSeries, basis: int, den: int) -> tuple[int, list[list[int
     """A series on the integral grid as (lowest stored exponent, xi-columns
     on the basis over den): column r holds entry r of every coefficient."""
     vec, phi = _promote(s._vec, s._basis, basis), euler_phi(basis)
-    return s._start, [[c * (den // s._den) for c in vec[r::phi]] for r in range(phi)]
+    return s.lo, [[c * (den // s._den) for c in vec[r::phi]] for r in range(phi)]
 
 
 def _read(series: tuple[int, list[list[int]]], e: int) -> list[int]:

@@ -59,8 +59,9 @@ def check_order(m: int, poly: ModularPolynomial | None = None) -> int:
     """Refuse an order above MAX_ORDER before any work (psi factors m by
     trial division, and a build's Newton sums grow as psi(m)^2 series
     products even for a two-term input), an order below 2 (no coset set),
-    then an input polynomial of another order or of degrees other than
-    psi(m) (psi(4) = psi(5)); return psi(m)."""
+    then an input polynomial of another order (psi(4) = psi(5), so degrees
+    alone cannot tell), and last, as a data error, one whose degrees are not
+    psi(m); return psi(m)."""
     if m > MAX_ORDER:
         raise UsageError(f"order {m} exceeds the largest supported order {MAX_ORDER}")
     if m < 2:
@@ -69,7 +70,7 @@ def check_order(m: int, poly: ModularPolynomial | None = None) -> int:
         raise UsageError(f"polynomial of order {poly.m} given for order {m}")
     n = psi(m)
     if poly is not None and (poly.degx != n or poly.degy != n):
-        raise UsageError(f"polynomial degrees ({poly.degx}, {poly.degy}) != psi({m}) = {n}")
+        raise ParseError(f"polynomial degrees ({poly.degx}, {poly.degy}) != psi({m}) = {n}")
     return n
 
 
@@ -142,15 +143,14 @@ def _coset_elementary(h: PuiseuxSeries, m: int) -> Iterator[PuiseuxSeries]:
     over all roots would let the q^-m pole of the d = 1 root eat the other
     classes' depth), then the product of the class polynomials.  e_j forms
     the power sums, Newton steps and product terms of degree j only, so a
-    caller that stops after e_j never multiplies out h^(j+1).  e_0 = 1 is
-    exact; it is handed out determined through q^(10^9), the bound the
-    coset-product oracle of the tests gives it."""
+    caller that stops after e_j never multiplies out h^(j+1).  e_0 is the
+    empty product h^0, determined as far as h."""
     classes = [(d, _class_weights(m, d)[0]) for d in range(1, m + 1) if m % d == 0]
     # per class d, of size |K_d| = w_d(0): power sums p_1.., elementary e_0..,
     # and the elementary functions of the roots of this class and every earlier one
     sums = [[] for _ in classes]
     es, totals = ([[1] for _ in classes] for _ in range(2))
-    yield PuiseuxSeries.make({0: 1}, trunc=10**9)
+    yield h ** 0
     for j in range(1, psi(m) + 1):
         below, degree = [1], 0
         for (d, size), p, e, total in zip(classes, sums, es, totals):

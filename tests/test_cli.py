@@ -334,6 +334,9 @@ _REFUSAL_FILES = {
     "q_blank.qexp": _edit_line(_QEXP, 7, ""),
     "q_fields.qexp": _edit_line(_QEXP, 7, "1"),
     "q_numerator.qexp": _edit_line(_QEXP, 7, "x 196884"),
+    "q_below.qexp": _edit_line(_QEXP, 6, "-2 1"),
+    "q_above.qexp": _edit_line(_QEXP, _QEXP.count("\n") - 1, "11 1"),
+    "j1.qexp": emit_qexp(normalized_j(1), "J"),
     "nonmoonshine.qexp": emit_qexp(PuiseuxSeries.make({-2: 1, 1: 5}, trunc=40), "N"),
     "fractional.qexp": emit_qexp(PuiseuxSeries.make({-2: 1, 1: 5}, trunc=40, denom=2), "F"),
     "shallow.qexp": emit_qexp(normalized_j(6), "J"),
@@ -399,9 +402,9 @@ class TestRefusals:
         (("eta", "--tau", "0,1", "--terms", "0"), 2, "product factor"),
         (("eisenstein", "--k", "4", "--tau", "0,1", "--radius", "0"), 2, "radius must be >= 1"),
         (("verify", "--series", "data/j.qexp", "--modpoly", "wrong_degree.mpoly",
-          "--order", "3"), 2, "!= psi(3) = 4"),
+          "--order", "3"), 3, "!= psi(3) = 4"),
         (("bootstrap", "--series", "shallow.qexp", "--modpoly", "wrong_degree.mpoly",
-          "--order", "3", "--target", "30"), 2, "polynomial degrees (3, 3) != psi(3) = 4"),
+          "--order", "3", "--target", "30"), 3, "polynomial degrees (3, 3) != psi(3) = 4"),
         (("verify", "--series", "nonmoonshine.qexp", "--modpoly", "order2.mpoly",
           "--order", "2"), 3, "verification needs q^-1"),
         (("modpoly", "--series", "nonmoonshine.qexp", "--order", "2"), 3,
@@ -451,6 +454,10 @@ class TestRefusals:
          "polynomial of order 5 given for order 4"),
         (("bootstrap", "--series", "data/j.qexp", "--modpoly", "order5.mpoly", "--order", "4",
           "--target", "80"), 2, "polynomial of order 5 given for order 4"),
+        (_CLASSIFY + ("q_below.qexp",), 3, "line 7: exponent -2 outside [-1, 10]"),
+        (_CLASSIFY + ("q_above.qexp",), 3, "exponent 11 outside [-1, 10]"),
+        (("avg", "--series", "j1.qexp", "--prime", "5", "--express"), 3,
+         "residual not determined through the constant term"),
     ])
     def test_refused_with_one_line(self, capsys, tmp_path, argv, code, reason):
         for name, text in _REFUSAL_FILES.items():

@@ -1,8 +1,9 @@
 """The command-line contract over all 13 subcommands: whatever the argv and
 however an input file is corrupted, ``main`` exits 0, 1, 2 or 3 (argparse's
 own usage exit is 2), writes at most one stderr line that starts with
-``error: ``, ``failed: `` or ``usage error: ``, lets no exception escape, and
-never reports success with a NaN or an infinity in its machine block."""
+``error: ``, ``failed: `` or ``usage error: `` and then nothing on stdout,
+lets no exception escape, and never reports success with a NaN or an
+infinity in its machine block."""
 
 import contextlib
 import io
@@ -175,6 +176,7 @@ def test_every_subcommand_keeps_the_exit_contract(files, case):
     if err:
         assert err.count("\n") == 1 and err.endswith("\n")
         assert err.startswith(("error: ", "failed: ", "usage error: "))
+        assert out == ""
     if code == 0:
         for line in _machine_block(out):
             assert not re.search(r"(?i)\b(nan|inf)\b", line), line

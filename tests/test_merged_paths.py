@@ -1203,7 +1203,8 @@ def test_render_matches_the_two_helpers_per_type():
 
 
 def oracle_emit(body, machine):
-    """cli._emit's own writer; every caller passes a non-empty body."""
+    """The writer of the former ``cli._emit``; every caller passes a
+    non-empty body."""
     pairs = "\n".join(f"{k}={v}" for k, v in machine)
     return f"{body}\n---\n{pairs}\n"
 

@@ -117,6 +117,16 @@ class TestExpress:
         bound = min(value.trunc_exponent(), s.trunc_exponent())
         assert compare_to_order(value, s, bound).equal
 
+    @pytest.mark.parametrize("values, text", [
+        ([0], "0"),
+        ([0, 0, -1], "-x^2"),
+        ([3, -2], "-2x+3"),
+        ([1, CyclotomicNumber.root_of_unity(3, 1), 0, 1], "x^3+(z)x+1"),
+        ([0, CyclotomicNumber.root_of_unity(3, 1) + 1], "(1+z)x"),
+    ])
+    def test_str(self, values, text):
+        assert str(UnivariatePoly.from_list(values)) == text
+
 
 def fiction(xi_conductor=None, xi_power=1, coeff=None, trunc=64):
     if coeff is not None:

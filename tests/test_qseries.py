@@ -27,6 +27,10 @@ class TestArithmetic:
         assert prod.coefficient(-2) == 1
         assert prod.coefficient(0) == 0
         assert prod.coefficient(2) == -1
+        assert series_arith(a, b, "add") == PuiseuxSeries.make({-1: 2}, trunc=10)
+        assert series_arith(a, b, "sub") == PuiseuxSeries.make({1: 2}, trunc=10)
+        with pytest.raises(ValueError, match="unknown series operation 'div'"):
+            series_arith(a, b, "div")
 
     def test_prefix_square_constant(self, corpus_j):
         prefix = corpus_j.truncate(2)
