@@ -157,10 +157,6 @@ def extended_mul(x: ExtendedElement, y: ExtendedElement) -> ExtendedElement:
     return ExtendedElement(product, x.n + y.n + _sign(x.matrix.c * y.matrix.c * product.c))
 
 
-def extended_inverse(x: ExtendedElement) -> ExtendedElement:
-    return ExtendedElement(x.matrix.inverse(), -x.n)
-
-
 def lift_braid(word: BraidWord) -> ExtendedElement:
     """Lift of a braid word: each letter's closed-form pair, composed left
     to right.  The matrix component always equals the plain projection."""

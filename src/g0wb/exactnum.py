@@ -23,7 +23,7 @@ from fractions import Fraction
 from itertools import repeat
 from operator import add, mul, sub
 
-from .errors import G0wbError, NotCoprime, ParseError
+from .errors import G0wbError, NotCoprime, ParseError, UsageError
 
 BigRational = Fraction
 
@@ -198,7 +198,11 @@ def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
 
 @functools.lru_cache(maxsize=None)
 def _power_table(n: int) -> tuple[tuple[int, ...], ...]:
-    """Reduction table: entry p is the basis vector of xi_n^p, 0 <= p < n."""
+    """Reduction table: entry p is the basis vector of xi_n^p, 0 <= p < n.
+    MAX_CONDUCTOR bounds its n x phi(n) cost wherever two fields meet."""
+    if n > MAX_CONDUCTOR:
+        raise UsageError(f"field Q[xi_{n}] exceeds the largest supported conductor "
+                         f"{MAX_CONDUCTOR}")
     phi = euler_phi(n)
     modulus = cyclotomic_polynomial(n)
     rows: list[tuple[int, ...]] = []

@@ -145,24 +145,23 @@ def bootstrap_extend(h_prefix: PuiseuxSeries, poly: ModularPolynomial, m: int,
     solve is exact; a block of one coefficient is the order-by-order
     solve.  Every determined coefficient of G below a block's first pivot
     must vanish, else no extension exists; this also re-checks everything
-    the previous block solved.  The result is re-verified against the
-    polynomial in full before being returned; a target too shallow for
-    that check raises InsufficientTruncation, and one below 0 or above
-    MAX_TARGET is refused before any work.
+    the previous block solved.  The seed cut to q^min(trunc, MAX_TARGET),
+    extended while short of the target, is re-verified against the
+    polynomial in full before its cut to q^target is returned; a series too
+    shallow for that check raises InsufficientTruncation, and a target
+    below 0 or above MAX_TARGET is refused before any work.
     """
     if not h_prefix.is_moonshine_shape():
         raise ShapeError("bootstrap needs a q^-1 + O(q) seed")
     check_order(m, poly)
     if target < 0:
         raise UsageError(f"target {target} is below the smallest supported target 0")
-    if target <= h_prefix.trunc:
-        return h_prefix.truncate(target)
     if target > MAX_TARGET:
         raise UsageError(f"target {target} exceeds the largest supported target {MAX_TARGET}")
     d_dx = poly.derivative("x")
     d_dy = poly.derivative("y")
     monomials = [key for key, c in poly.coeffs.items() if not c.is_zero()]
-    result = h_prefix
+    result = h_prefix.truncate(min(h_prefix.trunc, MAX_TARGET))
     while result.trunc < target:
         n = result.trunc + 1
         floor, top = _block_end(monomials, m, n, target)
@@ -173,13 +172,13 @@ def bootstrap_extend(h_prefix: PuiseuxSeries, poly: ModularPolynomial, m: int,
     report = verify_modular_equation(result, poly, m)
     if report.status == "insufficient-data":
         raise InsufficientTruncation(
-            f"extended series reaches q^{result.trunc} but re-verifies only through "
+            f"series reaches q^{result.trunc} but re-verifies only through "
             f"q^{report.verified_to}; ask for a deeper target")
     if report.status != "consistent":
-        raise Inconsistent(
-            f"extended series fails re-verification: {report.status} "
-            f"at {report.first_failure}")
-    return result
+        e, expected, actual = report.first_failure
+        raise Inconsistent(f"series fails re-verification at q^{e}: "
+                           f"expected {expected.literal()}, actual {actual.literal()}")
+    return result.truncate(target)
 
 
 def _block_end(monomials: list[tuple[int, int]], m: int, n: int, target: int):

@@ -434,7 +434,7 @@ def _reweighted(s: PuiseuxSeries, stretch: int, denom: int, factors,
     phi, fden = euler_phi(basis), math.lcm(*(d for _, _, d in fs))
     vs = [[x * (fden // d) for x in _promote(v, b, basis)] for b, v, d in fs]
     # mats[r][i]: factor r times xi^i, on the basis
-    mats = [[_fold([[x] for x in [0] * i + v + [0] * (phi - 1 - i)], phi, basis, 1)
+    mats = [[_fold([None] * i + [[x] if x else None for x in v], phi, basis, 1)
              for i in range(phi)] for v in vs]
     vec, shift = _promote(s._vec, s._basis, basis), s.lo % len(fs)
     out = [0] * ((len(vec) // phi - 1) * stretch + 1) * phi if vec else []

@@ -23,6 +23,7 @@ from g0wb.exactnum import CyclotomicNumber
 from g0wb.goldens import GOLDEN_ORDER2
 from g0wb.hauptmodul import _block_end, _solve_block, bootstrap_extend
 from g0wb.modeq import (
+    MAX_TARGET,
     ModularPolynomial,
     build_modular_polynomial,
     emit_mpoly,
@@ -38,14 +39,13 @@ def per_coefficient_bootstrap(h_prefix, poly, m, target):
         raise ShapeError("bootstrap needs a q^-1 + O(q) seed")
     if poly.degx != psi(m) or poly.degy != psi(m):
         raise ValueError(f"polynomial degrees != psi({m})")
-    if target <= h_prefix.trunc:
-        return h_prefix.truncate(target)
+    seed = h_prefix.truncate(min(h_prefix.trunc, MAX_TARGET))
     d_dx = poly.derivative("x")
     d_dy = poly.derivative("y")
-    known = dict(h_prefix.coeffs)
+    known = dict(seed.coeffs)
     checked_below = None
-    for n in range(h_prefix.trunc + 1, target + 1):
-        h0 = PuiseuxSeries.make(known, trunc=n, conductor=h_prefix.conductor)
+    for n in range(seed.trunc + 1, target + 1):
+        h0 = PuiseuxSeries.make(known, trunc=n, conductor=seed.conductor)
         y0 = substitute_coset(h0, m, 1, 0)
         linear = d_dx.evaluate(h0, y0).shift(n) + d_dy.evaluate(h0, y0).shift(m * n)
         pivot = linear.min_nonzero_exponent()
@@ -66,13 +66,14 @@ def per_coefficient_bootstrap(h_prefix, poly, m, target):
         a_n = -(value.coefficient(pivot) / linear.coefficient(pivot))
         if not a_n.is_zero():
             known[n] = a_n
-    result = PuiseuxSeries.make(known, trunc=target, conductor=h_prefix.conductor)
+    # the seed and what extends it are re-verified as one series
+    result = PuiseuxSeries.make(known, trunc=max(seed.trunc, target), conductor=seed.conductor)
     status = verify_modular_equation(result, poly, m).status
     if status == "insufficient-data":
-        raise InsufficientTruncation("extended series too shallow to re-verify")
+        raise InsufficientTruncation("series too shallow to re-verify")
     if status != "consistent":
-        raise Inconsistent("extended series fails re-verification")
-    return result
+        raise Inconsistent("series fails re-verification")
+    return result.truncate(target)
 
 
 def outcome(solver, seed, poly, m, target):
@@ -121,29 +122,39 @@ def monomial_poly2():
     return build_modular_polynomial(PuiseuxSeries.monomial(-1, trunc=64), 2)
 
 
-@pytest.mark.parametrize("depth,target", [(0, 25), (3, 60), (10, 41), (21, 60), (44, 51)])
+@pytest.mark.parametrize("depth,target", [(0, 25), (3, 60), (10, 41), (21, 60), (44, 51),
+                                          (40, 20), (60, 0), (60, 60)])
 def test_j_output_matches_per_coefficient_solve(corpus_j, depth, target):
     expected = assert_same_outcome(corpus_j.truncate(depth), GOLDEN_ORDER2, 2, target)
     assert expected == emit_qexp(corpus_j.truncate(target), "x")
 
 
-@pytest.mark.parametrize("depth,target", [(0, 17), (5, 40), (12, 33), (27, 40)])
+@pytest.mark.parametrize("depth,target", [(0, 17), (5, 40), (12, 33), (27, 40), (40, 12)])
 def test_g0_2_output_matches_per_coefficient_solve(corpus_g0_2, poly3, depth, target):
     expected = assert_same_outcome(corpus_g0_2.truncate(depth), poly3, 3, target)
     assert expected == emit_qexp(corpus_g0_2.truncate(target), "x")
 
 
 @pytest.mark.parametrize("depth,exponent,target", [
-    (3, 1, 20), (3, 3, 30), (20, 18, 45), (20, 20, 60), (8, 2, 40)])
+    (3, 1, 20), (3, 3, 30), (20, 18, 45), (20, 20, 60), (8, 2, 40),
+    (40, 10, 20), (40, 20, 20), (40, 30, 20), (60, 59, 0)])
 def test_perturbed_j_seed_fails_alike(corpus_j, depth, exponent, target):
     seed = perturbed(corpus_j, depth, exponent)
     assert assert_same_outcome(seed, GOLDEN_ORDER2, 2, target) is Inconsistent
 
 
-@pytest.mark.parametrize("depth,exponent,target", [(5, 4, 30), (12, 10, 30)])
+@pytest.mark.parametrize("depth,exponent,target", [(5, 4, 30), (12, 10, 30), (30, 4, 12),
+                                                    (30, 25, 12)])
 def test_perturbed_g0_2_seed_fails_alike(corpus_g0_2, poly3, depth, exponent, target):
     seed = perturbed(corpus_g0_2, depth, exponent, delta=-7)
     assert assert_same_outcome(seed, poly3, 3, target) is Inconsistent
+
+
+@pytest.mark.parametrize("target", [0, 2, 3, 4])
+def test_seed_too_shallow_to_reverify_fails_alike(corpus_j, target):
+    # inside the seed or beyond it, q^3 of j cannot re-verify order 2
+    seed = corpus_j.truncate(3)
+    assert assert_same_outcome(seed, GOLDEN_ORDER2, 2, target) is InsufficientTruncation
 
 
 def test_seed_too_shallow_for_first_pivot_fails_alike():

@@ -21,7 +21,6 @@ from g0wb.braid import (
     emit_group_table,
     eta_multiplier_matrix,
     eta_multiplier_phase,
-    extended_inverse,
     extended_mul,
     lift_braid,
     parse_group_table,
@@ -36,6 +35,10 @@ from g0wb.exactnum import CyclotomicNumber, _square_and_multiply
 from g0wb.matrices import IDENTITY, IntMatrix
 
 HALF_TWIST = BraidWord.parse("s1 s2 s1")
+
+
+def extended_inverse(x):
+    return ExtendedElement(x.matrix.inverse(), -x.n)
 
 
 def extended_pow(x, n):

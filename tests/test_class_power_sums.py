@@ -24,11 +24,14 @@ from g0wb.errors import (
     InsufficientTruncation,
     NonIntegralInput,
     ParseError,
+    UsageError,
 )
-from g0wb.exactnum import MAX_CONDUCTOR, CyclotomicNumber, _power_table, parse_cyclotomic
+from g0wb.exactnum import MAX_CONDUCTOR, CyclotomicNumber, _fold, _power_table, parse_cyclotomic
+from g0wb import qseries
 from g0wb.modeq import (
     ModularPolynomial,
     VerificationReport,
+    _class_power_sum,
     _class_weights,
     _coset_elementary,
     average_sum,
@@ -407,6 +410,11 @@ def _mpoly(conductor):
     return "# mpoly v1\norder: 2\nconductor: %d\ndegx: 3\ndegy: 3\n0 3 z\n" % conductor
 
 
+def _deeper_qexp(conductor):
+    return ("# qexp v1\nlabel: F\nconductor: %d\ndenom: 1\nlo: -1\ntrunc: 6\n"
+            "-1 1\n1 z\n2 z^2\n4 z^4\n6 z\n" % conductor)
+
+
 class TestConductorBound:
     @pytest.mark.parametrize("conductor", [10**9, MAX_CONDUCTOR + 1, 0, -5])
     def test_qexp_header_rejected(self, conductor):
@@ -435,6 +443,30 @@ class TestConductorBound:
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err.count("\n") == 1
 
+    def test_meeting_fields_beyond_the_bound_refused(self):
+        with pytest.raises(UsageError, match=r"^field Q\[xi_988027\] exceeds the largest "
+                                             f"supported conductor {MAX_CONDUCTOR}$"):
+            CyclotomicNumber.root_of_unity(997) * CyclotomicNumber.root_of_unity(991)
+
+    @pytest.mark.parametrize("argv, field", [
+        (("verify", "--series", "97.qexp", "--modpoly", "89.mpoly", "--order", "2"), 8633),
+        (("bootstrap", "--series", "97.qexp", "--modpoly", "89.mpoly", "--order", "2",
+          "--target", "40"), 8633),
+        (("replicate", "--series", "97.qexp", "--square", "89.qexp", "--k-max", "1"), 8633),
+        (("replicate", "--series", "997.qexp", "--square", "991.qexp", "--k-max", "1"), 988027),
+    ])
+    def test_cli_meeting_fields_exit_two(self, tmp_path, capsys, argv, field):
+        # each input's own conductor is within the bound; their lcm is not
+        for n in (89, 97, 991, 997):
+            (tmp_path / f"{n}.qexp").write_text(_deeper_qexp(n))
+            (tmp_path / f"{n}.mpoly").write_text(_mpoly(n))
+        argv = [str(tmp_path / a) if a.endswith((".qexp", ".mpoly")) else a for a in argv]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == (
+            f"usage error: field Q[xi_{field}] exceeds the largest supported conductor "
+            f"{MAX_CONDUCTOR}\n")
+
 
 def test_class_weights_are_the_sums_of_roots_of_unity():
     # summed in floating point: each sum is an integer of size at most d
@@ -444,3 +476,21 @@ def test_class_weights_are_the_sums_of_roots_of_unity():
             for r in range(d):
                 total = sum(cmath.exp(2j * cmath.pi * k * r / d) for k in ks)
                 assert abs(total - _class_weights(m, d)[r]) < 1e-9, (m, d, r)
+
+
+def test_class_power_sum_folds_one_column_per_nonzero_weight_entry(monkeypatch):
+    # an integer weight times xi^i is one column on the basis: the fold of
+    # its multiplication matrix reads phi columns per nonzero weight, not
+    # 2 phi - 1 per weight
+    folded = []
+
+    def counting(raw, *args):
+        folded.append(sum(column is not None for column in raw))
+        return _fold(raw, *args)
+
+    z = CyclotomicNumber.root_of_unity(7)
+    h = PuiseuxSeries.make({-1: 1, 1: z, 4: z * z, 8: 3 - z}, trunc=12, conductor=7)
+    monkeypatch.setattr(qseries, "_fold", counting)
+    total = _class_power_sum(h, 4, 4)  # w_4 = (4, 0, 0, 0): 4 sum c_4n q^n
+    assert sum(folded) == 6
+    assert total == PuiseuxSeries.make({1: 4 * z * z, 2: 12 - 4 * z}, trunc=3, conductor=7)

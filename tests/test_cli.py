@@ -340,6 +340,7 @@ _REFUSAL_FILES = {
     "nonmoonshine.qexp": emit_qexp(PuiseuxSeries.make({-2: 1, 1: 5}, trunc=40), "N"),
     "fractional.qexp": emit_qexp(PuiseuxSeries.make({-2: 1, 1: 5}, trunc=40, denom=2), "F"),
     "shallow.qexp": emit_qexp(normalized_j(6), "J"),
+    "j3.qexp": emit_qexp(normalized_j(3), "J"),
     "g_header.table": _edit_line(_S3, 0, "n: 6"),
     "g_order.table": _edit_line(_S3, 0, "order: six"),
     "g_zero.table": _edit_line(_S3, 0, "order: 0"),
@@ -458,6 +459,12 @@ class TestRefusals:
         (_CLASSIFY + ("q_above.qexp",), 3, "exponent 11 outside [-1, 10]"),
         (("avg", "--series", "j1.qexp", "--prime", "5", "--express"), 3,
          "residual not determined through the constant term"),
+        # a seed is re-verified even when the target lies inside it
+        (("bootstrap", "--series", "data/g0_2.qexp", "--modpoly", "order2.mpoly",
+          "--order", "2", "--target", "30"), 1,
+         "fails re-verification at q^-2: expected -552, actual -393768"),
+        (("bootstrap", "--series", "j3.qexp", "--modpoly", "order2.mpoly",
+          "--order", "2", "--target", "3"), 3, "re-verifies only through"),
     ])
     def test_refused_with_one_line(self, capsys, tmp_path, argv, code, reason):
         for name, text in _REFUSAL_FILES.items():
@@ -466,8 +473,8 @@ class TestRefusals:
                 for a in argv]
         got, out, err = run(capsys, *argv)
         assert (got, out) == (code, "")
-        assert err.startswith(("error: ", "usage error: ")) and err.count("\n") == 1
-        assert reason in err and "Traceback" not in err
+        assert err.startswith({1: "failed: ", 2: "usage error: ", 3: "error: "}[code])
+        assert err.count("\n") == 1 and reason in err and "Traceback" not in err
 
     def test_conductor_24_copy_verifies_untwisted(self, capsys, tmp_path):
         """The twist rows above are refused for the gcd alone: untwisted, the

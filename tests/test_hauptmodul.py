@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from g0wb.corpus import normalized_j
 from g0wb.errors import (
     Inconsistent,
     InsufficientTruncation,
@@ -138,6 +139,11 @@ class TestBootstrap:
     def test_target_above_the_cap_is_refused(self, corpus_j):
         with pytest.raises(ValueError, match=f"largest supported target {MAX_TARGET}$"):
             bootstrap_extend(corpus_j.truncate(3), GOLDEN_ORDER2, 2, MAX_TARGET + 1)
+
+    def test_target_above_the_cap_is_refused_inside_a_deeper_seed(self):
+        seed = normalized_j(MAX_TARGET + 1)
+        with pytest.raises(ValueError, match=f"largest supported target {MAX_TARGET}$"):
+            bootstrap_extend(seed, GOLDEN_ORDER2, 2, MAX_TARGET + 1)
 
 
 class TestReplication:

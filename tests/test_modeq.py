@@ -7,6 +7,7 @@ from g0wb.errors import (
     ExpressFailure,
     InsufficientTruncation,
 )
+from g0wb.corpus import normalized_j
 from g0wb.exactnum import CyclotomicNumber
 from g0wb.goldens import GOLDEN_ORDER2
 from g0wb.modeq import (
@@ -290,6 +291,45 @@ class TestVerify:
         h = PuiseuxSeries.moonshine([196884], trunc=1)
         report = verify_modular_equation(h, GOLDEN_ORDER2, 2)
         assert report.status == "insufficient-data"
+
+
+def hurwitz_class_number(n):
+    """H(n), counted from the reduced forms (a, b, c) of discriminant -n:
+    |b| <= a <= c, b >= 0 when |b| = a or a = c.  a(x^2 + y^2) weighs 1/2,
+    a(x^2 + xy + y^2) weighs 1/3, every other form 1."""
+    total, a = Fraction(0), 1
+    while 3 * a * a <= n:
+        for b in range(1 - a, a + 1):
+            c, rest = divmod(b * b + n, 4 * a)
+            if not rest and (c > a or c == a and b >= 0):
+                total += Fraction(1, 2) if c == a and b == 0 else \
+                    Fraction(1, 3) if a == b == c else 1
+        a += 1
+    return total
+
+
+class TestClassNumberDegree:
+    """deg F_m(X, X) = sum_{d^2 | m} mu(d) sum_{t^2 < 4m/d^2} H(4m/d^2 - t^2)
+    for non-square m (Cox, Primes of the form x^2 + ny^2, section 13): an
+    oracle for composite orders that shares nothing with the build."""
+
+    @pytest.mark.parametrize("n, h", [(3, Fraction(1, 3)), (4, Fraction(1, 2)), (7, 1),
+                                      (12, Fraction(4, 3)), (15, 2), (16, Fraction(3, 2)),
+                                      (23, 3), (27, Fraction(4, 3))])
+    def test_hurwitz_class_numbers(self, n, h):
+        assert hurwitz_class_number(n) == h
+
+    @pytest.mark.parametrize("m", [2, 3, 5, 6, 7, 8, 10, 11, 12, 13, 14, 15])
+    def test_diagonal_degree_of_j(self, m):
+        poly = build_modular_polynomial(normalized_j(required_truncation(m)), m)
+        diagonal = {}
+        for (i, j), c in poly.coeffs.items():
+            diagonal[i + j] = diagonal.get(i + j, CyclotomicNumber.zero()) + c
+        degree = max(k for k, c in diagonal.items() if not c.is_zero())
+        assert degree == sum(
+            sympy.mobius(d) * sum(hurwitz_class_number(4 * m // d**2 - t * t)
+                                  for t in range(-2 * m, 2 * m + 1) if t * t < 4 * m // d**2)
+            for d in range(1, m + 1) if m % (d * d) == 0)
 
 
 class TestSymmetry:
