@@ -106,12 +106,8 @@ def degree(word: BraidWord) -> int:
 
 
 def burau(word: BraidWord) -> IntMatrix:
-    """Projection to SL2(Z) through the reduced, specialised generator images."""
-    out = IDENTITY
-    for gen, exp in word.letters:
-        base = BURAU_S1 if gen == 1 else BURAU_S2
-        out = out * base ** exp
-    return out
+    """Projection to SL2(Z): the matrix of the word's lift."""
+    return lift_braid(word).matrix
 
 
 def braid_multiplier(word: BraidWord) -> CyclotomicNumber:
@@ -159,13 +155,18 @@ def extended_mul(x: ExtendedElement, y: ExtendedElement) -> ExtendedElement:
 
 def lift_braid(word: BraidWord) -> ExtendedElement:
     """Lift of a braid word: each letter's closed-form pair, composed left
-    to right.  The matrix component always equals the plain projection."""
-    out = EXTENDED_IDENTITY
-    for gen, exp in word.letters:
-        letter = (ExtendedElement(IntMatrix(1, exp, 0, 1), 0) if gen == 1 else
-                  ExtendedElement(IntMatrix(1, 0, -exp, 1), _sign(exp)))
-        out = extended_mul(out, letter)
-    return out
+    to right on five integers (a, b, c, d, n).  s1^e adds e (a, c) to (b, d),
+    its cocycle 0 as c_T = 0; s2^e takes e (b, d) from (a, c) and adds
+    sign e + sign(-e c c') to n, c' the new c.  The invariant is checked once."""
+    a, b, c, d, n = 1, 0, 0, 1, 0
+    for gen, e in word.letters:
+        if gen == 1:
+            b += e * a
+            d += e * c
+        else:
+            a, c, c_was = a - e * b, c - e * d, c
+            n += _sign(e) + _sign(-e * c_was * c)
+    return ExtendedElement(IntMatrix(a, b, c, d), n)
 
 
 # -- eta multiplier in closed form -------------------------------------------
@@ -414,15 +415,15 @@ def quilt_orbit(pair: tuple[int, int], table: GroupTable) -> frozenset[tuple[int
     g, h = pair
     if not (0 <= g < n and 0 <= h < n):
         raise ValueError(f"pair {pair} is not a pair of element indices below {n}")
-    return _close(g * n + h, table, bytearray(n * n))
+    return frozenset(divmod(code, n) for code in _close(g * n + h, table, bytearray(n * n)))
 
 
-def _close(code: int, table: GroupTable, marks: bytearray) -> frozenset[tuple[int, int]]:
-    """The orbit of the pair with code g n + h.  An inverse generator is a
-    power of its generator on a finite set, so the closure under s1 and s2
-    is the orbit: each s1-cycle (g, g^k h) is walked whole, with one s2 step
-    per pair.  ``marks`` holds 1 for a pair found and 2 once its cycle is
-    walked; only the orbit's codes change."""
+def _close(code: int, table: GroupTable, marks: bytearray) -> list[int]:
+    """The codes g n + h of the orbit of the pair with code ``code``.  An
+    inverse generator is a power of its generator on a finite set, so the
+    closure under s1 and s2 is the orbit: each s1-cycle (g, g^k h) is walked
+    whole, with one s2 step per pair.  ``marks`` holds 1 for a pair found
+    and 2 once its cycle is walked; only the orbit's codes change."""
     mul, inv, n = table.mul, table.inverses, table.order
     marks[code] = 1
     out, todo = [], [code]
@@ -434,7 +435,7 @@ def _close(code: int, table: GroupTable, marks: bytearray) -> frozenset[tuple[in
         row, k = mul[g], h
         while True:
             marks[base + k] = 2
-            out.append((g, k))
+            out.append(base + k)
             found = row[inv[k]] * n + k  # (g k^-1, k) = (g, k).s2
             if not marks[found]:
                 marks[found] = 1
@@ -442,7 +443,7 @@ def _close(code: int, table: GroupTable, marks: bytearray) -> frozenset[tuple[in
             k = row[k]  # (g, g k) = (g, k).s1
             if k == h:
                 break
-    return frozenset(out)
+    return out
 
 
 def quilt_orbits(table: GroupTable) -> list[frozenset[tuple[int, int]]]:
@@ -452,6 +453,6 @@ def quilt_orbits(table: GroupTable) -> list[frozenset[tuple[int, int]]]:
     orbits = []
     code = marks.find(0)
     while code >= 0:
-        orbits.append(_close(code, table, marks))
+        orbits.append(frozenset(divmod(c, table.order) for c in _close(code, table, marks)))
         code = marks.find(0, code + 1)
     return orbits

@@ -17,6 +17,7 @@ import os
 import sys
 from fractions import Fraction
 from itertools import compress
+from operator import itemgetter
 
 from . import braid as braidmod
 from . import corpus as corpusmod
@@ -271,30 +272,28 @@ def _cmd_quilt(args) -> tuple[str, int]:
         table = _BUILTIN_GROUPS[args.group]()
     else:
         table = braidmod.parse_group_table(corpusmod._read_text(args.group))
-    parts = args.start.split(",")
-    if len(parts) != 2:
+    start = [part.strip() for part in args.start.split(",")]
+    if len(start) != 2:
         raise ParseError("--start must be g,h with element labels")
     try:
-        pair = (table.index(parts[0].strip()), table.index(parts[1].strip()))
+        g, h = map(table.index, start)
     except KeyError as exc:
         raise UsageError(exc.args[0]) from exc
-    orbit = braidmod.quilt_orbit(pair, table)
-    # rows in the order of "(g," and columns in that of "h)": with no comma in
-    # a label, that is the order of the "(g,h)" texts
     n, labels = table.order, table.labels
-    cols = sorted(range(n), key=lambda h: labels[h] + ")")
-    col_of = {h: i for i, h in enumerate(cols)}
     marks = bytearray(n * n)
-    for g, h in orbit:
-        marks[g * n + col_of[h]] = 1
+    size = len(braidmod._close(g * n + h, table, marks))
+    # rows in "(g," order, each read in "h)" order: the sorted "(g,h)" texts, as no
+    # label has a comma.  The trailing 0 keeps a tuple at n = 1 (compress drops it),
+    # and a row joins as " (g,x) (g,y)" for its pairs in the orbit, or as ""
+    cols = sorted(range(n), key=lambda h: labels[h] + ")")
+    by_col = itemgetter(*cols, 0)
     tails = [labels[h] + ")" for h in cols]
-    pretty = []
+    rows = []
     for g in sorted(range(n), key=lambda g: "(" + labels[g] + ","):
-        pretty += map(f"({labels[g]},".__add__, compress(tails, marks[g * n:g * n + n]))
-    elements = " ".join(pretty)
-    return _report("orbit of (%s,%s): size %d\n%s" % (parts[0].strip(), parts[1].strip(),
-                                                      len(orbit), elements),
-                   [("orbit_size", str(len(orbit))), ("elements", elements)])
+        rows.append(f" ({labels[g]},".join(["", *compress(tails, by_col(marks[g * n:g * n + n]))]))
+    elements = "".join(rows)[1:]
+    return _report(f"orbit of ({start[0]},{start[1]}): size {size}\n{elements}",
+                   [("orbit_size", str(size)), ("elements", elements)])
 
 
 def _cmd_kappa(args) -> tuple[str, int]:

@@ -1,10 +1,12 @@
 import cmath
+import collections
 import itertools
 import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from g0wb.braid import (
     BURAU_S1,
@@ -30,6 +32,7 @@ from g0wb.braid import (
     sigma_class,
     symmetric_group_3,
 )
+from g0wb.cli import main
 from g0wb.errors import NotUnimodular, ParseError, RequiresPositiveC
 from g0wb.exactnum import CyclotomicNumber, _square_and_multiply
 from g0wb.matrices import IDENTITY, IntMatrix
@@ -46,6 +49,34 @@ def extended_pow(x, n):
     associative."""
     return _square_and_multiply(x if n >= 0 else extended_inverse(x), abs(n),
                                 EXTENDED_IDENTITY, extended_mul)
+
+
+def lift_fold(word):
+    """The lift as a left fold of extended_mul over the letters' closed-form
+    pairs (T^e, 0) and (L^e, sign e)."""
+    out = EXTENDED_IDENTITY
+    for gen, e in word.letters:
+        letter = (ExtendedElement(IntMatrix(1, e, 0, 1), 0) if gen == 1 else
+                  ExtendedElement(IntMatrix(1, 0, -e, 1), (e > 0) - (e < 0)))
+        out = extended_mul(out, letter)
+    return out
+
+
+def burau_product(word):
+    """The projection as the product of the generator images raised to
+    their exponents."""
+    out = IDENTITY
+    for gen, e in word.letters:
+        out = out * (BURAU_S1 if gen == 1 else BURAU_S2) ** e
+    return out
+
+
+# words of 0-200 letters (a length drawn first, so long words are common),
+# exponents small or up to 10^30 in size
+_letters = st.tuples(st.sampled_from([1, 2]),
+                     st.one_of(st.integers(-12, 12), st.integers(-10 ** 30, 10 ** 30)))
+braid_words = st.integers(0, 200).flatmap(
+    lambda k: st.lists(_letters, min_size=k, max_size=k)).map(BraidWord.from_letters)
 
 
 def random_word(rng, max_len=12):
@@ -331,6 +362,18 @@ class TestExtendedLawOracles:
                 assert lift_braid(BraidWord.from_letters([(gen, e)])) == extended_pow(base, e)
 
 
+class TestReplacedDefinitions:
+    """The lift and the projection on five integers against the definitions
+    they replaced: a fold of extended_mul, and a product of matrix powers."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(braid_words)
+    def test_lift_is_the_fold_and_burau_the_product(self, word):
+        lifted = lift_braid(word)
+        assert lifted == lift_fold(word)
+        assert burau(word) == burau_product(word) == lifted.matrix
+
+
 class TestEtaMultiplier:
     def test_requires_positive_c(self):
         with pytest.raises(RequiresPositiveC):
@@ -449,3 +492,54 @@ class TestGroupTable:
                 "d c a b e\n")
         with pytest.raises(ParseError, match="associative"):
             parse_group_table(text)
+
+
+def jordan_totient_2(m):
+    """J_2(m) = m^2 prod_{p | m} (1 - 1/p^2), by trial division."""
+    out, rest, p = m * m, m, 2
+    while rest > 1:
+        if rest % p == 0:
+            out = out // (p * p) * (p * p - 1)
+            while rest % p == 0:
+                rest //= p
+        p += 1
+    return out
+
+
+def cyclic_quilt_partition(n):
+    """On C_n the quilt action is SL2(Z) on (Z/n)^2, so the orbits are the
+    pairs (x, y) with one value of gcd(x, y, n)."""
+    classes = collections.defaultdict(set)
+    for x in range(n):
+        for y in range(n):
+            classes[math.gcd(x, y, n)].add((x, y))
+    return classes
+
+
+class TestCyclicQuiltOracle:
+    """Quilt orbits of cyclic groups against the closed form: the orbit of
+    (g, h) is {(x, y) : gcd(x, y, n) = d}, d = gcd(g, h, n), of J_2(n/d) pairs."""
+
+    def test_orbits_are_the_gcd_classes(self):
+        for n in range(1, 61):
+            classes = cyclic_quilt_partition(n)
+            orbits = quilt_orbits(cyclic_group(n))
+            assert sorted(orbits, key=min) == sorted(map(frozenset, classes.values()), key=min), n
+            for d, pairs in classes.items():
+                assert len(pairs) == jordan_totient_2(n // d), (n, d)
+
+    def test_cli_on_a_written_c120_table(self, capsys, tmp_path):
+        n = 120
+        table = cyclic_group(n)
+        path = tmp_path / "c120.gtab"
+        path.write_text(emit_group_table(table), encoding="utf-8")
+        classes = cyclic_quilt_partition(n)
+        for g, h in ((7, 30), (5, 7), (60, 30), (8, 12), (0, 40), (0, 0)):
+            start = f"{table.labels[g]},{table.labels[h]}"
+            assert main(["quilt", "--group", str(path), "--start", start]) == 0
+            out = capsys.readouterr().out
+            block = dict(line.split("=", 1) for line in out.split("---\n", 1)[1].splitlines())
+            d = math.gcd(g, h, n)
+            want = {f"({table.labels[x]},{table.labels[y]})" for x, y in classes[d]}
+            assert set(block["elements"].split()) == want
+            assert block["orbit_size"] == str(len(want)) == str(jordan_totient_2(n // d))

@@ -388,13 +388,19 @@ _C4_WITH_A_COMMA = "order: 4\ne x x,y z)\nx x,y z) e\nx,y z) e x\nz) e x x,y\n"
     ("c4", _C4_WITH_PREFIXES, ["z),x", "x,e", "e,e"]),
     ("c120", emit_group_table(cyclic_group(120)), ["g5,g7", "g,e", "g60,g30", "e,e"]),
     ("d60", emit_group_table(dihedral_group(60)), ["f,r1", "r3,r7f", "r20,r30", "e,f"]),
-], ids=["c4", "c120", "d60"])
+    ("c1", "order: 1\ne\n", ["e,e"]),
+    # no text: the built-in group of that name
+    ("z2", None, ["g,e", "e,g", "g,g", "e,e"]),
+], ids=["c4", "c120", "d60", "c1", "z2"])
 def test_quilt_elements_are_the_sorted_pair_texts(capsys, tmp_path, name, text, starts):
-    path = tmp_path / f"{name}.gtab"
-    path.write_text(text, encoding="utf-8")
-    table = parse_group_table(text)
+    if text is None:
+        group, table = name, cyclic_group(2)
+    else:
+        path = tmp_path / f"{name}.gtab"
+        path.write_text(text, encoding="utf-8")
+        group, table = str(path), parse_group_table(text)
     for start in starts:
-        code, out, err = _run(capsys, "quilt", "--group", str(path), "--start", start)
+        code, out, err = _run(capsys, "quilt", "--group", group, "--start", start)
         assert (code, err) == (0, "")
         elements = _machine(out)["elements"]
         assert elements == oracle_quilt_elements(table, start), start
