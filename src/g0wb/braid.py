@@ -25,15 +25,12 @@ from typing import Iterable, Sequence
 
 from .errors import ParseError, RequiresPositiveC
 from .exactnum import CyclotomicNumber, _square_and_multiply, format_rational, parse_rational
-from .matrices import IDENTITY, IntMatrix
+from .matrices import IntMatrix
 
 # Fixed by the numeric multiplier-law selection: of the two candidate
 # constants 1/2 and 1/4 in the closed eta-multiplier formula, only 1/4
 # satisfies the weight-1/2 transformation law numerically.
 DEFAULT_ETA_KAPPA = Fraction(1, 4)
-
-BURAU_S1 = IntMatrix(1, 1, 0, 1)
-BURAU_S2 = IntMatrix(1, 0, -1, 1)
 
 _TOKEN_RE = re.compile(r"^s([12])(?:\^(-?\d+))?$")
 
@@ -137,9 +134,6 @@ class ExtendedElement:
             raise ValueError(
                 f"n = {self.n} incompatible with class {sigma_class(self.matrix)} "
                 f"of {self.matrix}")
-
-
-EXTENDED_IDENTITY = ExtendedElement(IDENTITY, 0)
 
 
 def _sign(x: int) -> int:

@@ -439,24 +439,34 @@ def format_rational(value: Fraction) -> str:
                         "limit for decimal text") from exc
 
 
+def _as_factor(lit: str) -> str:
+    """A coefficient literal as a factor before a variable: in parentheses
+    when it is a sum or holds z."""
+    return f"({lit})" if "z" in lit or "+" in lit[1:] or "-" in lit[1:] else lit
+
+
+def _format_terms(terms) -> str:
+    """The text of a sum from (coefficient literal, variable power) pairs,
+    the power empty for a constant term: a zero term is left out, a
+    coefficient of 1 or -1 is dropped before its power, and each term after
+    the first carries its own sign."""
+    parts: list[str] = []
+    for lit, power in terms:
+        if lit == "0":
+            continue
+        if power:
+            lit = lit[:-1] if lit in ("1", "-1") else _as_factor(lit)
+        parts.append(("+" if parts and not lit.startswith("-") else "") + lit + power)
+    return "".join(parts)
+
+
 def format_literal(coeffs) -> str:
     """The literal of a number from its power-basis coefficients (ints or
     Fractions): ascending powers of z, no whitespace."""
     if not any(coeffs[1:]):
         return format_rational(coeffs[0])
-    parts: list[str] = []
-    for power, c in enumerate(coeffs):
-        if c == 0:
-            continue
-        mag = format_rational(abs(c))
-        if power == 0:
-            body = mag
-        else:
-            zterm = "z" if power == 1 else f"z^{power}"
-            body = zterm if mag == "1" else mag + zterm
-        sign = "-" if c < 0 else ("+" if parts else "")
-        parts.append(sign + body)
-    return "".join(parts)
+    return _format_terms([(format_rational(c), f"z^{p}" if p > 1 else "z" * p)
+                          for p, c in enumerate(coeffs) if c])
 
 
 def parse_rational(text: str) -> Fraction | int:

@@ -40,8 +40,8 @@ from .errors import (
     ShapeError,
     UsageError,
 )
-from .exactnum import (MAX_CONDUCTOR, CyclotomicNumber, _read_header, _trim, parse_cyclotomic,
-                       prime_divisors)
+from .exactnum import (MAX_CONDUCTOR, CyclotomicNumber, _format_terms, _read_header, _trim,
+                       parse_cyclotomic, prime_divisors)
 from .qseries import PuiseuxSeries, _linear, _reweighted
 
 Coeff = CyclotomicNumber
@@ -216,29 +216,8 @@ class UnivariatePoly:
     def __str__(self) -> str:
         if not self.coeffs:
             return "0"
-        parts = []
-        for j in range(self.degree(), -1, -1):
-            c = self.coefficient(j)
-            if c.is_zero():
-                continue
-            lit = c.literal()
-            if j == 0:
-                body = lit
-            else:
-                xpow = "x" if j == 1 else f"x^{j}"
-                if lit == "1":
-                    body = xpow
-                elif lit == "-1":
-                    body = "-" + xpow
-                elif any(ch in lit[1:] for ch in "+-") or "z" in lit:
-                    body = f"({lit}){xpow}"
-                else:
-                    body = lit + xpow
-            if parts and not body.startswith("-"):
-                parts.append("+" + body)
-            else:
-                parts.append(body)
-        return "".join(parts)
+        return _format_terms([(c.literal(), f"x^{j}" if j > 1 else "x" * j)
+                              for j, c in reversed(list(enumerate(self.coeffs)))])
 
 
 def express_in_generator(f: PuiseuxSeries, h: PuiseuxSeries) -> UnivariatePoly:

@@ -40,8 +40,8 @@ from types import MappingProxyType
 from typing import Iterable, Mapping
 
 from .errors import InsufficientTruncation, NonIntegralInput, ParseError
-from .exactnum import (CyclotomicNumber, _convolve, _fold, _integral, _promote, _read_header,
-                       euler_phi, format_literal, parse_cyclotomic, parse_rational)
+from .exactnum import (CyclotomicNumber, _as_factor, _convolve, _fold, _integral, _promote,
+                       _read_header, euler_phi, format_literal, parse_cyclotomic, parse_rational)
 
 Coeff = CyclotomicNumber
 _set = object.__setattr__
@@ -262,9 +262,7 @@ class PuiseuxSeries:
         terms = []
         for n, c in items[:6]:
             e = Fraction(n, self.denom)
-            lit = c.literal()
-            if "+" in lit[1:] or "-" in lit[1:] or "z" in lit:
-                lit = f"({lit})"
+            lit = _as_factor(c.literal())
             terms.append(f"{lit}*q^({e})" if e != 0 else lit)
         if len(items) > 6:
             terms.append("...")

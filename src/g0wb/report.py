@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .exactnum import format_rational
+from .exactnum import _format_terms, format_rational
 from .hauptmodul import Classification
 from .modeq import VerificationReport
 from .numeric import KappaSelection, ResidualPanel
@@ -64,15 +64,7 @@ def _verification(rep: VerificationReport):
 def _classification(c: Classification):
     lines = [f"verdict: {c.verdict}"]
     if c.fiction_xi is not None:
-        xi = c.fiction_xi
-        if xi.is_zero():
-            shape = "q^{-1}"
-        elif xi == 1:
-            shape = "q^{-1}+q"
-        elif xi == -1:
-            shape = "q^{-1}-q"
-        else:
-            shape = f"q^{{-1}}+({xi.literal()})q"
+        shape = _format_terms([("1", "q^{-1}"), (c.fiction_xi.literal(), "q")])
         lines.append(f"modular fiction: {shape}")
     sections = [("classification", "\n".join(lines))]
     for m, rep in c.orders_tested:

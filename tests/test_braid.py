@@ -9,10 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from g0wb.braid import (
-    BURAU_S1,
-    BURAU_S2,
     BraidWord,
-    EXTENDED_IDENTITY,
     ExtendedElement,
     braid_multiplier,
     burau,
@@ -38,6 +35,9 @@ from g0wb.exactnum import CyclotomicNumber, _square_and_multiply
 from g0wb.matrices import IDENTITY, IntMatrix
 
 HALF_TWIST = BraidWord.parse("s1 s2 s1")
+BURAU_S1 = IntMatrix(1, 1, 0, 1)
+BURAU_S2 = IntMatrix(1, 0, -1, 1)
+EXTENDED_IDENTITY = ExtendedElement(IDENTITY, 0)
 
 
 def extended_inverse(x):

@@ -41,6 +41,12 @@ second copies they replaced, kept here as oracles:
   now on the build's cut and twisted generator (``modeq._generator``);
 - the class sizes of the coset product counted from ``coset_set(m).pairs``,
   now w_d(0) (``modeq._class_weights``).
+- the text of a literal, of a ``UnivariatePoly`` and of the fiction shape,
+  each written by its own loop, and the parenthesis test of the series
+  repr, now one term writer and its factor test (``exactnum._format_terms``,
+  ``exactnum._as_factor``);
+- the gap of the Eisenstein tail as the least of four edges' candidates,
+  now two clamped stationary points (``numeric._square_boundary_gap``).
 
 Also the value reports of ``eta`` and ``eisenstein`` without ``--law``,
 which share one emitter with ``eval``."""
@@ -50,6 +56,7 @@ import itertools
 import math
 import random
 import re
+import sys
 import time
 from fractions import Fraction
 from itertools import repeat
@@ -74,11 +81,11 @@ from g0wb import qseries
 from g0wb.cli import main
 from g0wb.corpus import (PUBLISHED_DEPTH, PUBLISHED_PREFIXES, _euler_power, eta_product_series,
                          eta_quotient_level2, load_entry, normalized_j)
-from g0wb.errors import (CorruptCorpus, ExpressFailure, InsufficientTruncation, NotCoprime,
-                         ParseError, UsageError)
+from g0wb.errors import (CorruptCorpus, ExpressFailure, G0wbError, InsufficientTruncation,
+                         NotCoprime, ParseError, UsageError)
 from g0wb.exactnum import (CyclotomicNumber, _convolve, _half_ext_gcd, _poly_divmod,
                            _power_table, _promote, _trim, cyclotomic_polynomial, euler_phi,
-                           format_rational, parse_cyclotomic, parse_rational)
+                           format_literal, format_rational, parse_cyclotomic, parse_rational)
 from g0wb.hauptmodul import (Classification, _is_admissible_xi, _test_order, classify,
                              detect_fiction)
 from g0wb.modeq import (
@@ -97,7 +104,8 @@ from g0wb.modeq import (
     symmetry_check,
     verify_modular_equation,
 )
-from g0wb.numeric import KappaSelection, ResidualPanel, ResidualRow, select_eta_kappa
+from g0wb.numeric import (KappaSelection, ResidualPanel, ResidualRow, _square_boundary_gap,
+                          select_eta_kappa)
 from g0wb.qseries import PuiseuxSeries, emit_qexp, parse_qexp
 from g0wb.report import RenderedReport, _with_machine_block, render
 
@@ -1095,19 +1103,20 @@ def oracle_verification_machine(rep):
     return pairs
 
 
+def oracle_fiction_shape(xi):
+    if xi.is_zero():
+        return "q^{-1}"
+    if xi == 1:
+        return "q^{-1}+q"
+    if xi == -1:
+        return "q^{-1}-q"
+    return f"q^{{-1}}+({xi.literal()})q"
+
+
 def oracle_classification_sections(c):
     lines = [f"verdict: {c.verdict}"]
     if c.fiction_xi is not None:
-        xi = c.fiction_xi
-        if xi.is_zero():
-            shape = "q^{-1}"
-        elif xi == 1:
-            shape = "q^{-1}+q"
-        elif xi == -1:
-            shape = "q^{-1}-q"
-        else:
-            shape = f"q^{{-1}}+({xi.literal()})q"
-        lines.append(f"modular fiction: {shape}")
+        lines.append(f"modular fiction: {oracle_fiction_shape(c.fiction_xi)}")
     sections = [("classification", "\n".join(lines))]
     for m, rep in c.orders_tested:
         sections.append((f"order {m}", oracle_verification_body(rep)))
@@ -1208,6 +1217,25 @@ def test_render_matches_the_two_helpers_per_type():
             assert render(obj, footnotes).text() == oracle_render_text(obj, footnotes), obj
 
 
+def _roots_of_24(n):
+    """The 24th roots of unity of Q[xi_n]; every root of unity there is
+    +-xi_n^k."""
+    one = CyclotomicNumber.one()
+    roots = [sign * CyclotomicNumber.root_of_unity(n, k) for k in range(n) for sign in (1, -1)]
+    return [root for root in roots if root ** 24 == one]
+
+
+def test_fiction_shape_matches_the_if_chain():
+    cases = [CyclotomicNumber.zero(), CyclotomicNumber.one(), -CyclotomicNumber.one()]
+    for n in (1, 2, 3, 4, 5, 6, 7, 8, 12, 24, 60):
+        roots = _roots_of_24(n)
+        assert len({root.literal() for root in roots}) == math.gcd(24, n if n % 2 == 0 else 2 * n)
+        cases += roots
+    for xi in cases:
+        c = Classification("fiction", fiction_xi=xi)
+        assert render(c).text() == oracle_render_text(c), xi
+
+
 def oracle_emit(body, machine):
     """The writer of the former ``cli._emit``; every caller passes a
     non-empty body."""
@@ -1219,3 +1247,167 @@ def oracle_emit(body, machine):
 def test_machine_block_matches_the_emit_writer(body):
     for machine in ([("degree", 2)], [("order", "2"), ("status", "consistent"), ("n", -1)]):
         assert _with_machine_block(body, machine) == oracle_emit(body, machine)
+
+
+# -- polynomial text -------------------------------------------------------------------
+
+def oracle_format_literal(coeffs):
+    if not any(coeffs[1:]):
+        return format_rational(coeffs[0])
+    parts = []
+    for power, c in enumerate(coeffs):
+        if c == 0:
+            continue
+        mag = format_rational(abs(c))
+        if power == 0:
+            body = mag
+        else:
+            zterm = "z" if power == 1 else f"z^{power}"
+            body = zterm if mag == "1" else mag + zterm
+        sign = "-" if c < 0 else ("+" if parts else "")
+        parts.append(sign + body)
+    return "".join(parts)
+
+
+def _text_or_refusal(write, value):
+    try:
+        return write(value)
+    except G0wbError as exc:
+        return type(exc), str(exc)
+
+
+_LIMIT = sys.get_int_max_str_digits()
+
+# ints of LIMIT - 1, LIMIT or LIMIT + 1 digits: the last refuse as text
+_NEAR_LIMIT = st.builds(lambda sign, digits, k: sign * (10 ** (digits - 1) + k),
+                        st.sampled_from([1, -1]), st.sampled_from([_LIMIT - 1, _LIMIT, _LIMIT + 1]),
+                        st.integers(0, 10 ** 6))
+_POWER_BASIS = st.sampled_from([0, 0, 1, -1]) | st.integers() | st.fractions() | _NEAR_LIMIT
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_POWER_BASIS, min_size=1, max_size=8).map(tuple))
+def test_format_literal_matches_the_term_loop(coeffs):
+    assert _text_or_refusal(format_literal, coeffs) == _text_or_refusal(oracle_format_literal,
+                                                                        coeffs)
+
+
+def oracle_univariate_text(poly):
+    if not poly.coeffs:
+        return "0"
+    parts = []
+    for j in range(poly.degree(), -1, -1):
+        c = poly.coefficient(j)
+        if c.is_zero():
+            continue
+        lit = c.literal()
+        if j == 0:
+            body = lit
+        else:
+            xpow = "x" if j == 1 else f"x^{j}"
+            if lit == "1":
+                body = xpow
+            elif lit == "-1":
+                body = "-" + xpow
+            elif any(ch in lit[1:] for ch in "+-") or "z" in lit:
+                body = f"({lit}){xpow}"
+            else:
+                body = lit + xpow
+        if parts and not body.startswith("-"):
+            parts.append("+" + body)
+        else:
+            parts.append(body)
+    return "".join(parts)
+
+
+def _text_coefficient(rng, conductor):
+    """Zero, +-1, a rational, a root of unity or a random element of
+    Q[xi_conductor]."""
+    roll = rng.randrange(6)
+    if roll == 0:
+        return CyclotomicNumber(conductor, [0] * euler_phi(conductor))
+    if roll == 1:
+        return CyclotomicNumber.from_rational(rng.choice([1, -1]))
+    if roll == 2:
+        return CyclotomicNumber.from_rational(Fraction(rng.randint(-9, 9), rng.randint(1, 4)))
+    if roll == 3:
+        return rng.choice([1, -1]) * CyclotomicNumber.root_of_unity(conductor, rng.randrange(conductor))
+    return CyclotomicNumber(conductor, [Fraction(rng.randint(-3, 3), rng.randint(1, 2))
+                                        for _ in range(euler_phi(conductor))])
+
+
+def test_univariate_text_matches_the_term_loop():
+    zero = CyclotomicNumber.zero()
+    assert str(UnivariatePoly(())) == oracle_univariate_text(UnivariatePoly(())) == "0"
+    assert str(UnivariatePoly((zero, zero))) == oracle_univariate_text(
+        UnivariatePoly((zero, zero))) == ""
+    rng = random.Random(17)
+    for conductor in (1, 3, 4, 5, 8, 12, 24):
+        for _ in range(150):
+            coeffs = [_text_coefficient(rng, conductor) for _ in range(rng.randint(0, 7))]
+            for poly in (UnivariatePoly(tuple(coeffs)), UnivariatePoly.from_list(coeffs)):
+                assert str(poly) == oracle_univariate_text(poly), poly.coeffs
+
+
+def oracle_series_repr(series):
+    items = series.nonzero_items()
+    terms = []
+    for n, c in items[:6]:
+        e = Fraction(n, series.denom)
+        lit = c.literal()
+        if "+" in lit[1:] or "-" in lit[1:] or "z" in lit:
+            lit = f"({lit})"
+        terms.append(f"{lit}*q^({e})" if e != 0 else lit)
+    if len(items) > 6:
+        terms.append("...")
+    body = " + ".join(terms) if terms else "0"
+    return f"<series {body} | O(q^({series.trunc_exponent()}))>"
+
+
+def test_series_repr_matches_the_parenthesis_test():
+    rng = random.Random(18)
+    for conductor in (1, 3, 8, 24):
+        for _ in range(150):
+            trunc = rng.randint(-2, 12)
+            coeffs = {rng.randint(-4, trunc): _text_coefficient(rng, conductor)
+                      for _ in range(rng.randint(0, 9))}
+            series = PuiseuxSeries.make(coeffs, trunc=trunc, denom=rng.choice([1, 2, 3]),
+                                        conductor=conductor)
+            assert repr(series) == oracle_series_repr(series)
+
+
+# -- the Eisenstein tail's gap ---------------------------------------------------------
+
+def oracle_square_boundary_gap(t):
+    """The least |x*t + y| over the two ends and the clamped stationary
+    point of each of the four edges."""
+    re, im = t.real, t.imag
+    best = math.inf
+    for s in (1.0, -1.0):
+        xs = [-1.0, 1.0]
+        denom = re * re + im * im
+        if denom > 0:
+            xs.append(max(-1.0, min(1.0, -s * re / denom)))
+        for x in xs:
+            best = min(best, abs(x * t + s))
+    for s in (1.0, -1.0):
+        ys = [-1.0, 1.0, max(-1.0, min(1.0, -s * re))]
+        for y in ys:
+            best = min(best, abs(s * t + y))
+    return best
+
+
+def test_square_boundary_gap_matches_the_four_edges():
+    rng = random.Random(19)
+    points = [complex(re, im) for re in (1e300, -1e300, 0.0, 1.0, -1.0, 0.5, -0.5)
+              for im in (0.1, 1.0, 1e5, 1e300)]
+    for i in range(100_000):
+        if i % 5 == 0:
+            # near the unit circle, where the stationary points leave [-1, 1]
+            points.append(complex(rng.uniform(-2.0, 2.0), rng.uniform(0.1, 2.0)))
+            continue
+        im = 10 ** rng.uniform(-1, 5)
+        scale = (1.0, 10.0, 1e6, im * im)[i % 4]
+        points.append(complex(rng.uniform(-scale, scale), im))
+    for t in points:
+        assert _square_boundary_gap(t) == oracle_square_boundary_gap(t), t
