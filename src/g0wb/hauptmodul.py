@@ -160,11 +160,10 @@ def bootstrap_extend(h_prefix: PuiseuxSeries, poly: ModularPolynomial, m: int,
         raise UsageError(f"target {target} exceeds the largest supported target {MAX_TARGET}")
     d_dx = poly.derivative("x")
     d_dy = poly.derivative("y")
-    monomials = [key for key, c in poly.coeffs.items() if not c.is_zero()]
     result = h_prefix.truncate(min(h_prefix.trunc, MAX_TARGET))
     while result.trunc < target:
         n = result.trunc + 1
-        floor, top = _block_end(monomials, m, n, target)
+        floor, top = _block_end(poly.coeffs, m, n, target)
         h0 = result._padded(top)
         y0 = substitute_coset(h0, m, 1, 0)
         result = _solve_block(h0, n, floor, m, poly.evaluate(h0, y0),
@@ -181,7 +180,7 @@ def bootstrap_extend(h_prefix: PuiseuxSeries, poly: ModularPolynomial, m: int,
     return result.truncate(target)
 
 
-def _block_end(monomials: list[tuple[int, int]], m: int, n: int, target: int):
+def _block_end(monomials: Iterable[tuple[int, int]], m: int, n: int, target: int):
     """(floor, top) of the block from a_n, from pole orders alone.  h ~ q^-1
     and h(m*tau) ~ q^-m, and an unknown at q^k or above in place of a factor
     h (of h(m*tau)) raises the exponent by k + 1 (by m(k + 1)), so a term of

@@ -28,7 +28,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Iterator, Mapping
 
@@ -185,15 +185,17 @@ def average_sum(f: PuiseuxSeries, p: int) -> PuiseuxSeries:
 
 @dataclass(frozen=True)
 class UnivariatePoly:
-    """Dense polynomial with exact cyclotomic coefficients, ascending powers."""
+    """Dense polynomial, exact cyclotomic coefficients, ascending powers, no trailing zero."""
 
     coeffs: tuple[Coeff, ...]
 
+    def __post_init__(self):
+        object.__setattr__(self, "coeffs", tuple(_trim(self.coeffs)))
+
     @staticmethod
     def from_list(values) -> UnivariatePoly:
-        coeffs = [v if isinstance(v, CyclotomicNumber) else CyclotomicNumber.from_rational(v)
-                  for v in values]
-        return UnivariatePoly(tuple(_trim(coeffs)))
+        return UnivariatePoly(tuple(v if isinstance(v, CyclotomicNumber)
+                                    else CyclotomicNumber.from_rational(v) for v in values))
 
     def degree(self) -> int:
         return len(self.coeffs) - 1
@@ -269,8 +271,8 @@ def _express(f: PuiseuxSeries, h: PuiseuxSeries) -> tuple[UnivariatePoly, Fracti
 class ModularPolynomial:
     """Exact bivariate polynomial in the product-form normalization.
 
-    ``coeffs`` maps (i, j) -> coefficient of x^i y^j; the coefficient of
-    y^degy is (-1)^degy by construction.
+    ``coeffs`` maps (i, j) -> the nonzero coefficient of x^i y^j (zeros are
+    dropped); the coefficient of y^degy is (-1)^degy by construction.
     """
 
     m: int
@@ -278,6 +280,10 @@ class ModularPolynomial:
     coeffs: Mapping[tuple[int, int], Coeff]
     degx: int
     degy: int
+
+    def __post_init__(self):
+        object.__setattr__(self, "coeffs", {key: c for key, c in self.coeffs.items()
+                                            if not c.is_zero()})
 
     def coefficient(self, i: int, j: int) -> Coeff:
         return self.coeffs.get((i, j), CyclotomicNumber.zero())
@@ -289,22 +295,14 @@ class ModularPolynomial:
         return self.scale(-1)
 
     def scale(self, factor) -> ModularPolynomial:
-        return ModularPolynomial(
-            self.m, self.conductor,
-            {key: c * factor for key, c in self.coeffs.items()},
-            self.degx, self.degy)
+        return replace(self, coeffs={key: c * factor for key, c in self.coeffs.items()})
 
     def apply_galois(self, t: int) -> ModularPolynomial:
-        return ModularPolynomial(
-            self.m, self.conductor,
-            {key: c.galois(t) for key, c in self.coeffs.items()},
-            self.degx, self.degy)
+        return replace(self, coeffs={key: c.galois(t) for key, c in self.coeffs.items()})
 
     def transpose(self) -> ModularPolynomial:
-        return ModularPolynomial(
-            self.m, self.conductor,
-            {(j, i): c for (i, j), c in self.coeffs.items()},
-            self.degy, self.degx)
+        return replace(self, coeffs={(j, i): c for (i, j), c in self.coeffs.items()},
+                       degx=self.degy, degy=self.degx)
 
     def y_slices(self) -> list[dict[int, Coeff]]:
         """For each power of y, the map i -> coefficient of x^i."""
@@ -324,22 +322,19 @@ class ModularPolynomial:
         return result if isinstance(result, PuiseuxSeries) else x.scale(0) + result
 
     def derivative(self, variable: str) -> ModularPolynomial:
-        out: dict[tuple[int, int], Coeff] = {}
-        for (i, j), c in self.coeffs.items():
-            if variable == "x" and i > 0:
-                out[(i - 1, j)] = c * i
-            elif variable == "y" and j > 0:
-                out[(i, j - 1)] = c * j
-        out = {k: v for k, v in out.items() if not v.is_zero()}
-        dx = self.degx - (1 if variable == "x" else 0)
-        dy = self.degy - (1 if variable == "y" else 0)
-        return ModularPolynomial(self.m, self.conductor, out, max(dx, 0), max(dy, 0))
+        """dF/dx or dF/dy, of degree one less in that variable (at least 0)."""
+        if variable == "x":
+            return replace(self, degx=max(self.degx - 1, 0),
+                           coeffs={(i - 1, j): c * i for (i, j), c in self.coeffs.items() if i})
+        if variable == "y":
+            return replace(self, degy=max(self.degy - 1, 0),
+                           coeffs={(i, j - 1): c * j for (i, j), c in self.coeffs.items() if j})
+        raise ValueError(f"derivative in {variable!r}: the variables are 'x' and 'y'")
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, ModularPolynomial):
             return NotImplemented
-        keys = set(self.coeffs) | set(other.coeffs)
-        return all(self.coefficient(*k) == other.coefficient(*k) for k in keys)
+        return self.coeffs == other.coeffs
 
     __hash__ = None
 
@@ -404,11 +399,8 @@ def _build(h: PuiseuxSeries, m: int, generalised: bool) -> tuple[ModularPolynomi
                 f"e_{j} is not a polynomial in the generator (order {m})",
                 residual=exc.residual,
             ) from exc
-        sign = -1 if (degree - j) % 2 else 1
         for i, c in enumerate(poly.coeffs):
-            if c.is_zero():
-                continue
-            slices[(i, degree - j)] = c * sign
+            slices[(i, degree - j)] = -c if (degree - j) % 2 else c
     return ModularPolynomial(m, h.conductor, slices, degree, degree), min(bounds.values())
 
 
@@ -477,10 +469,7 @@ def emit_mpoly(poly: ModularPolynomial) -> str:
         f"degy: {poly.degy}",
     ]
     for (i, j) in sorted(poly.coeffs):
-        c = poly.coeffs[(i, j)]
-        if c.is_zero():
-            continue
-        lines.append(f"{i} {j} {c.promote(poly.conductor).literal()}")
+        lines.append(f"{i} {j} {poly.coeffs[(i, j)].promote(poly.conductor).literal()}")
     return "\n".join(lines) + "\n"
 
 

@@ -158,10 +158,11 @@ def _square_boundary_gap(t: complex) -> float:
 
     Negation is exact, so the edges y = -1 and x = -1 give the distances of
     y = 1 and x = 1; each is convex, so its minimum lies at its clamped
-    stationary point (im t > 0 after _require_tame)."""
+    stationary point.  The clamp of x = -re/|t|^2 on y = 1 never decides: x
+    leaves [-1, 1] only if |re| > |t|^2, so |t| < 0.995 as im t >= 0.1, where
+    the x = 1 edge reaches im t < im t / |t|, y = 1's unclamped minimum."""
     re = t.real
-    x = max(-1.0, min(1.0, -re / (re * re + t.imag * t.imag)))
-    return min(abs(x * t + 1.0), abs(t + max(-1.0, min(1.0, -re))))
+    return min(abs(-re / (re * re + t.imag * t.imag) * t + 1.0), abs(t + max(-1.0, min(1.0, -re))))
 
 
 @_in_doubles

@@ -341,6 +341,7 @@ _REFUSAL_FILES = {
     "fractional.qexp": emit_qexp(PuiseuxSeries.make({-2: 1, 1: 5}, trunc=40, denom=2), "F"),
     "shallow.qexp": emit_qexp(normalized_j(6), "J"),
     "j3.qexp": emit_qexp(normalized_j(3), "J"),
+    "g0_2_q5.qexp": emit_qexp(load_entry("g0_2").series.truncate(5), "J_Gamma0_2"),
     "g_header.table": _edit_line(_S3, 0, "n: 6"),
     "g_order.table": _edit_line(_S3, 0, "order: six"),
     "g_zero.table": _edit_line(_S3, 0, "order: 0"),
@@ -463,6 +464,10 @@ class TestRefusals:
         (("bootstrap", "--series", "data/g0_2.qexp", "--modpoly", "order2.mpoly",
           "--order", "2", "--target", "30"), 1,
          "fails re-verification at q^-2: expected -552, actual -393768"),
+        # beyond the seed, the first block finds the failure first
+        (("bootstrap", "--series", "g0_2_q5.qexp", "--modpoly", "order2.mpoly",
+          "--order", "2", "--target", "20"), 1,
+         "relation already fails at q^-4 (coefficient -393216) before a_6 can act"),
         (("bootstrap", "--series", "j3.qexp", "--modpoly", "order2.mpoly",
           "--order", "2", "--target", "3"), 3, "re-verifies only through"),
     ])

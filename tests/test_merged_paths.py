@@ -46,7 +46,14 @@ second copies they replaced, kept here as oracles:
   repr, now one term writer and its factor test (``exactnum._format_terms``,
   ``exactnum._as_factor``);
 - the gap of the Eisenstein tail as the least of four edges' candidates,
-  now two clamped stationary points (``numeric._square_boundary_gap``).
+  now two stationary points, only that of the edge x = 1 clamped
+  (``numeric._square_boundary_gap``);
+- the zero filters of ``_build``, ``derivative``, ``emit_mpoly`` and the
+  bootstrap's monomial list, the union of keys in
+  ``ModularPolynomial.__eq__`` and the trim in ``UnivariatePoly.from_list``,
+  now the two constructors (``__post_init__``), with ``scale``,
+  ``apply_galois``, ``transpose`` and ``derivative`` each one
+  ``dataclasses.replace`` of the record.
 
 Also the value reports of ``eta`` and ``eisenstein`` without ``--law``,
 which share one emitter with ``eval``."""
@@ -86,6 +93,7 @@ from g0wb.errors import (CorruptCorpus, ExpressFailure, G0wbError, InsufficientT
 from g0wb.exactnum import (CyclotomicNumber, _convolve, _half_ext_gcd, _poly_divmod,
                            _power_table, _promote, _trim, cyclotomic_polynomial, euler_phi,
                            format_literal, format_rational, parse_cyclotomic, parse_rational)
+from g0wb.goldens import GOLDEN_ORDER2
 from g0wb.hauptmodul import (Classification, _is_admissible_xi, _test_order, classify,
                              detect_fiction)
 from g0wb.modeq import (
@@ -99,7 +107,9 @@ from g0wb.modeq import (
     build_modular_polynomial,
     check_order,
     coset_set,
+    emit_mpoly,
     express_in_generator,
+    parse_mpoly,
     required_truncation,
     symmetry_check,
     verify_modular_equation,
@@ -1340,7 +1350,7 @@ def test_univariate_text_matches_the_term_loop():
     zero = CyclotomicNumber.zero()
     assert str(UnivariatePoly(())) == oracle_univariate_text(UnivariatePoly(())) == "0"
     assert str(UnivariatePoly((zero, zero))) == oracle_univariate_text(
-        UnivariatePoly((zero, zero))) == ""
+        UnivariatePoly((zero, zero))) == "0"
     rng = random.Random(17)
     for conductor in (1, 3, 4, 5, 8, 12, 24):
         for _ in range(150):
@@ -1411,3 +1421,163 @@ def test_square_boundary_gap_matches_the_four_edges():
         points.append(complex(rng.uniform(-scale, scale), im))
     for t in points:
         assert _square_boundary_gap(t) == oracle_square_boundary_gap(t), t
+
+
+# -- canonical polynomials -----------------------------------------------------------
+
+def oracle_scale(coeffs, factor):
+    return {key: c * factor for key, c in coeffs.items()}
+
+
+def oracle_apply_galois(coeffs, t):
+    return {key: c.galois(t) for key, c in coeffs.items()}
+
+
+def oracle_transpose(coeffs):
+    return {(j, i): c for (i, j), c in coeffs.items()}
+
+
+def oracle_derivative(coeffs, degx, degy, variable):
+    """(coeffs, degx, degy) of dF/dx or dF/dy, zeros filtered after the
+    products; any other name gave the zero polynomial of unchanged degrees."""
+    out = {}
+    for (i, j), c in coeffs.items():
+        if variable == "x" and i > 0:
+            out[(i - 1, j)] = c * i
+        elif variable == "y" and j > 0:
+            out[(i, j - 1)] = c * j
+    out = {k: v for k, v in out.items() if not v.is_zero()}
+    dx = degx - (1 if variable == "x" else 0)
+    dy = degy - (1 if variable == "y" else 0)
+    return out, max(dx, 0), max(dy, 0)
+
+
+def oracle_equal(a, b):
+    """The union-of-keys comparison of two coefficient maps: a missing key
+    reads as zero."""
+    zero = CyclotomicNumber.zero()
+    return all(a.get(k, zero) == b.get(k, zero) for k in set(a) | set(b))
+
+
+def oracle_emit_mpoly(m, conductor, coeffs, degx, degy):
+    """The mpoly writer that skipped a stored zero."""
+    lines = ["# mpoly v1", f"order: {m}", f"conductor: {conductor}", f"degx: {degx}",
+             f"degy: {degy}"]
+    for (i, j) in sorted(coeffs):
+        c = coeffs[(i, j)]
+        if c.is_zero():
+            continue
+        lines.append(f"{i} {j} {c.promote(conductor).literal()}")
+    return "\n".join(lines) + "\n"
+
+
+_CANONICAL_CONDUCTORS = (1, 3, 4, 5, 12, 24)
+
+
+def _raw_coeffs(rng, conductor, degx, degy):
+    """A coefficient map on x^i y^j (i <= degx, j <= degy) of which about a
+    third of the entries are explicit zeros, of conductor 1 or of the field."""
+    zeros = (CyclotomicNumber.zero(), CyclotomicNumber(conductor, [0] * euler_phi(conductor)))
+    return {(rng.randint(0, degx), rng.randint(0, degy)):
+            rng.choice(zeros) if rng.random() < 0.35 else _coefficient(rng, conductor)
+            for _ in range(rng.randint(0, 10))}
+
+
+def _assert_matches(poly, coeffs, degx, degy, like):
+    """poly stores no zero, equals the oracle's map by the old comparison,
+    keeps each coefficient's field and has the oracle's degrees and the
+    order and conductor of ``like``."""
+    assert not any(c.is_zero() for c in poly.coeffs.values()), poly.coeffs
+    assert oracle_equal(poly.coeffs, coeffs), (poly.coeffs, coeffs)
+    assert {k: c.conductor for k, c in poly.coeffs.items()} == {
+        k: coeffs[k].conductor for k in poly.coeffs}
+    assert (poly.m, poly.conductor, poly.degx, poly.degy) == (like.m, like.conductor, degx, degy)
+
+
+def test_polynomial_methods_match_the_replaced_ones():
+    rng = random.Random(29)
+    for conductor in _CANONICAL_CONDUCTORS:
+        units = [t for t in range(1, 2 * conductor + 2) if math.gcd(t, conductor) == 1]
+        for _ in range(120):
+            degx, degy = rng.randint(0, 5), rng.randint(0, 5)
+            raw = _raw_coeffs(rng, conductor, degx, degy)
+            poly = ModularPolynomial(rng.randint(2, 13), conductor, raw, degx, degy)
+            _assert_matches(poly, raw, degx, degy, poly)
+            for variable in "xy":
+                _assert_matches(poly.derivative(variable),
+                                *oracle_derivative(raw, degx, degy, variable), poly)
+            for factor in (0, 1, -1, Fraction(-3, 2), _coefficient(rng, conductor)):
+                _assert_matches(poly.scale(factor), oracle_scale(raw, factor), degx, degy, poly)
+            t = rng.choice(units)
+            _assert_matches(poly.apply_galois(t), oracle_apply_galois(raw, t), degx, degy, poly)
+            _assert_matches(poly.transpose(), oracle_transpose(raw), degy, degx, poly)
+            assert poly.scale(0).coeffs == {}
+
+
+def test_derivative_refuses_a_third_variable():
+    poly = GOLDEN_ORDER2
+    for variable in ("z", "X", "", "xy"):
+        with pytest.raises(ValueError, match="'x' and 'y'"):
+            poly.derivative(variable)
+
+
+def test_polynomial_equality_matches_the_union_of_keys():
+    rng = random.Random(30)
+    outcomes = collections.Counter()
+    for conductor in _CANONICAL_CONDUCTORS:
+        zero = CyclotomicNumber(conductor, [0] * euler_phi(conductor))
+        for _ in range(240):
+            degree = rng.randint(0, 4)
+            a = _raw_coeffs(rng, conductor, degree, degree)
+            key = (rng.randint(0, degree), rng.randint(0, degree))
+            b, wide = dict(a), conductor
+            roll = rng.randrange(5)
+            if roll == 0:
+                b = _raw_coeffs(rng, conductor, degree, degree)
+            elif roll == 1:
+                b = {k: c for k, c in a.items() if not c.is_zero()}
+            elif roll == 2:
+                b[key] = zero
+            elif roll == 3:
+                # the same numbers written on a larger field
+                wide = 2 * conductor
+                b = {k: c.promote(wide) for k, c in a.items()}
+            else:
+                b[key] = b.get(key, zero) + _coefficient(rng, conductor)
+            expected = oracle_equal(a, b)
+            left = ModularPolynomial(2, conductor, a, degree, degree)
+            right = ModularPolynomial(2, wide, b, degree, degree)
+            assert (left == right) is (right == left) is expected, (a, b)
+            outcomes[expected] += 1
+    assert min(outcomes.values()) > 300, outcomes
+
+
+def test_emit_mpoly_matches_the_skipping_writer():
+    rng = random.Random(31)
+    for conductor in _CANONICAL_CONDUCTORS:
+        for _ in range(100):
+            m, degx, degy = rng.randint(2, 13), rng.randint(0, 5), rng.randint(0, 5)
+            raw = _raw_coeffs(rng, conductor, degx, degy)
+            poly = ModularPolynomial(m, conductor, raw, degx, degy)
+            text = emit_mpoly(poly)
+            assert text == oracle_emit_mpoly(m, conductor, raw, degx, degy)
+            assert parse_mpoly(text) == poly
+
+
+def test_univariate_poly_stores_no_trailing_zero():
+    zero = CyclotomicNumber.zero()
+    for empty in (UnivariatePoly(()), UnivariatePoly((zero, zero)), UnivariatePoly((0, 0)),
+                  UnivariatePoly.from_list([0, zero])):
+        assert empty == UnivariatePoly(()) and empty.coeffs == ()
+        assert empty.degree() == -1 and str(empty) == "0"
+    rng = random.Random(32)
+    for conductor in _CANONICAL_CONDUCTORS:
+        field_zero = CyclotomicNumber(conductor, [0] * euler_phi(conductor))
+        for _ in range(100):
+            values = _zero_tailed(rng, lambda: _coefficient(rng, conductor))
+            values += [rng.choice((zero, field_zero))] * rng.randint(0, 3)
+            poly = UnivariatePoly(tuple(values))
+            assert list(poly.coeffs) == oracle_trim(values)
+            assert poly == UnivariatePoly.from_list(values) == oracle_from_list(values)
+            assert poly.degree() == len(oracle_trim(values)) - 1
+            assert str(poly) == oracle_univariate_text(UnivariatePoly(tuple(oracle_trim(values))))
