@@ -464,12 +464,12 @@ class TestRefusals:
         (("bootstrap", "--series", "data/g0_2.qexp", "--modpoly", "order2.mpoly",
           "--order", "2", "--target", "30"), 1,
          "fails re-verification at q^-2: expected -552, actual -393768"),
+        (("bootstrap", "--series", "j3.qexp", "--modpoly", "order2.mpoly",
+          "--order", "2", "--target", "3"), 3, "re-verifies only through"),
         # beyond the seed, the first block finds the failure first
         (("bootstrap", "--series", "g0_2_q5.qexp", "--modpoly", "order2.mpoly",
           "--order", "2", "--target", "20"), 1,
          "relation already fails at q^-4 (coefficient -393216) before a_6 can act"),
-        (("bootstrap", "--series", "j3.qexp", "--modpoly", "order2.mpoly",
-          "--order", "2", "--target", "3"), 3, "re-verifies only through"),
     ])
     def test_refused_with_one_line(self, capsys, tmp_path, argv, code, reason):
         for name, text in _REFUSAL_FILES.items():
